@@ -191,20 +191,24 @@ def _in_basin(values: np.ndarray, p: ProblemData) -> bool:
 
 
 class _Stepper:
-    """IMEX step with a solver cache keyed by dt."""
+    """IMEX step holding the factor for the current dt only.
+
+    Callers change dt in runs of many steps, so one slot is refactored
+    once per dt change and the stepper never holds more than one factor.
+    """
 
     def __init__(self, p: ProblemData):
         self.p = p
-        self._solvers = {}
+        self._dt = None
+        self._solve = None
         self._beta_max = float(p.beta.values.max())
 
     def solver(self, dt: float):
-        solve = self._solvers.get(dt)
-        if solve is None:
-            diag = 1.0 - dt * self.p.beta.values
-            solve = spd_solver(self.p.grid, dt, diag)
-            self._solvers[dt] = solve
-        return solve
+        if dt != self._dt:
+            self._solve = None  # free the old factor before building the next
+            self._solve = spd_solver(self.p.grid, dt, 1.0 - dt * self.p.beta.values)
+            self._dt = dt
+        return self._solve
 
     def implicit_ok(self, dt: float) -> bool:
         # keep I - dt*(L + beta) positive definite

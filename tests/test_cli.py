@@ -90,10 +90,16 @@ def test_attract_subcommand(tmp_path):
     assert len(lines) > 2
 
 
-def test_attract_determinism(tmp_path):
+@pytest.mark.parametrize(
+    "dims",
+    # the torus has the circle's area, so the same u0_ratio lies in the basin
+    [[[TWO_PI, 48]], [[TWO_PI, 12], [1.0, 5]]],
+    ids=["circle", "torus"],
+)
+def test_attract_determinism(tmp_path, dims):
     cfg = {
         "subcommand": "attract",
-        "grid": {"dims": [[TWO_PI, 48]]},
+        "grid": {"dims": dims},
         "beta": {"const": -0.1},
         "psi1": {"form": "sin", "a": 1.0, "b": 0.2, "k": 1},
         "psi2": {"const": 1.0},
@@ -101,8 +107,9 @@ def test_attract_determinism(tmp_path):
         "tol": 1e-8,
         "tol_h": 1e-4,
     }
-    _, out1, _ = run_cli(tmp_path, cfg, out="run1")
-    _, out2, _ = run_cli(tmp_path, cfg, out="run2")
+    code1, out1, _ = run_cli(tmp_path, cfg, out="run1")
+    code2, out2, _ = run_cli(tmp_path, cfg, out="run2")
+    assert code1 == code2 == 0
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 

@@ -225,7 +225,7 @@ def test_evolution_time_budget_exhausted():
 
 
 def test_attractor_on_torus():
-    # exercises the conjugate-gradient stepper backend
+    # exercises the stepper on a 2-d sparse factor
     from groundflow import make_torus_grid
 
     g = make_torus_grid([(2 * np.pi, 16), (2 * np.pi, 16)])

@@ -1,0 +1,49 @@
+import time
+
+import numpy as np
+import pytest
+
+from groundflow import laplacian_matrix, make_circle_grid, make_torus_grid
+from groundflow._solve import spd_solver
+from groundflow.grid import MIN_POINTS, laplacian_values
+
+GRIDS = {
+    "circle": make_circle_grid(2 * np.pi, 37),
+    "anisotropic-torus": make_torus_grid([(2 * np.pi, MIN_POINTS), (3.0, 9)]),
+    "torus-3d": make_torus_grid([(2.0, 5), (2 * np.pi, 6), (1.5, 4)]),
+}
+
+
+@pytest.mark.parametrize("lap_coeff", [0.0, 1e-3, 1.0])
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_spd_solver_matches_dense_oracle(name, lap_coeff):
+    grid = GRIDS[name]
+    rng = np.random.default_rng(7)
+    n = grid.total_points
+    diag = rng.uniform(0.5, 2.0, n)
+    b = rng.standard_normal(n)
+    dense = np.diag(diag) - lap_coeff * laplacian_matrix(grid)
+    expected = np.linalg.solve(dense, b)
+    x = spd_solver(grid, lap_coeff, diag)(b)
+    err = np.max(np.abs(x - expected)) / np.max(np.abs(expected))
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("lap_coeff", [1e-3, 1.0])
+def test_large_circle_backward_error(lap_coeff):
+    # far beyond the dense cap; a dense factor at this size is 2 GiB
+    grid = make_circle_grid(2 * np.pi, 16384)
+    rng = np.random.default_rng(11)
+    diag = rng.uniform(0.5, 2.0, grid.total_points)
+    b = rng.standard_normal(grid.total_points)
+    start = time.perf_counter()
+    x = spd_solver(grid, lap_coeff, diag)(b)
+    elapsed = time.perf_counter() - start
+    residual = diag * x - lap_coeff * laplacian_values(grid, x) - b
+    h = grid.spacings[0]
+    norm_a = float(np.max(diag)) + lap_coeff * 4.0 / (h * h)
+    backward = np.max(np.abs(residual)) / (
+        norm_a * np.max(np.abs(x)) + np.max(np.abs(b))
+    )
+    assert backward <= 1e-14
+    assert elapsed < 2.0
