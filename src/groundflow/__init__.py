@@ -42,6 +42,7 @@ from .errors import (
     BasinError,
     BlowdownError,
     ConvergenceError,
+    CrossCheckError,
     GroundflowError,
     PhaseSpaceExitError,
     PositivityLossError,

@@ -5,10 +5,14 @@ Systems have the form ``A v = lap_coeff * (-Laplacian v) + diag * v`` with
 A is assembled as a sparse matrix, the Laplacian being the Kronecker sum
 of the 1-d cyclic second-difference matrices over the grid axes, and
 factored once by SuperLU under the symmetric minimum-degree ordering of
-``A^T + A``, which keeps the fill of the periodic stencil low.
+``A^T + A``, which keeps the fill of the periodic stencil low.  The
+Laplacian depends on the grid alone, so it is assembled once per grid and
+only scaled and shifted on the diagonal for each factor.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,8 +29,12 @@ def _cyclic_second_difference(points: int, h: float):
     )
 
 
+@lru_cache(maxsize=8)
 def _laplacian_sparse(grid: Grid):
-    """Sparse stencil Laplacian in the C-order flattening of the grid."""
+    """Sparse stencil Laplacian in the C-order flattening of the grid.
+
+    Shared by every caller on an equal grid, so its arrays are read-only.
+    """
     n = grid.total_points
     lap = sp.csc_matrix((n, n))
     for ax, (points, h) in enumerate(zip(grid.points, grid.spacings)):
@@ -34,11 +42,16 @@ def _laplacian_sparse(grid: Grid):
         after = int(np.prod(grid.points[ax + 1:]))
         term = sp.kron(sp.identity(before), _cyclic_second_difference(points, h))
         lap = lap + sp.kron(term, sp.identity(after))
+    for arr in (lap.data, lap.indices, lap.indptr):
+        arr.flags.writeable = False
     return lap
 
 
 def spd_solver(grid: Grid, lap_coeff: float, diag: np.ndarray):
     """Return a ``solve(b) -> x`` closure for the SPD operator above."""
     diag = np.asarray(diag, dtype=float)
-    mat = sp.diags(diag) - lap_coeff * _laplacian_sparse(grid)
-    return splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A").solve
+    # scaling copies the data, so the shared Laplacian is never written;
+    # the stencil holds every diagonal cell, so setdiag adds no entries
+    mat = _laplacian_sparse(grid) * -lap_coeff
+    mat.setdiag(mat.diagonal() + diag)
+    return splu(mat, permc_spec="MMD_AT_PLUS_A").solve

@@ -256,9 +256,10 @@ def portrait_to_csv(
     v_values = np.asarray(v_values, dtype=float)
     if np.any(u_values <= 0.0):
         raise ValueError("portrait u samples must be positive")
+    uu, vv = np.meshgrid(u_values, v_values, indexing="ij")
+    energy = hamiltonian_uv(uu, vv, beta, psi1, psi2)
     with open(path, "w") as fh:
         fh.write("u,v,H\n")
-        for u in u_values:
-            for v in v_values:
-                e = hamiltonian_uv(u, v, beta, psi1, psi2)
-                fh.write(f"{float(u)!r},{float(v)!r},{float(e)!r}\n")
+        for row in zip(uu.ravel().tolist(), vv.ravel().tolist(),
+                       energy.ravel().tolist()):
+            fh.write("%r,%r,%r\n" % row)

@@ -10,6 +10,7 @@ runs stay reproducible.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -260,6 +261,17 @@ _SCHEMAS = {
 
 class ConfigError(Exception):
     pass
+
+
+@functools.cache
+def _validator(sub: str):
+    """The validator of one subcommand's schema, built once.
+
+    ``jsonschema.validate`` checks the schema against the metaschema on
+    every call; the schemas are fixed, so the tests check them once.
+    """
+    schema = _SCHEMAS[sub]
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _parse_grid(spec) -> Grid:
@@ -557,7 +569,9 @@ def run(config: dict, out_dir: Path) -> int:
         raise ConfigError(
             f"unknown subcommand {sub!r}; choose one of {sorted(_RUNNERS)}"
         )
-    jsonschema.validate(config, _SCHEMAS[sub])
+    error = jsonschema.exceptions.best_match(_validator(sub).iter_errors(config))
+    if error is not None:
+        raise error
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return _RUNNERS[sub](config, out_dir)

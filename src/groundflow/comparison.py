@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, BlowdownError
+from .errors import AdmissibilityError, BlowdownError, CrossCheckError
 from .grid import ScalarField
 
 #: discriminant threshold (relative to A^2) below which closed-form roots
@@ -229,9 +229,11 @@ def decay_rate_mu(sigma: float, profile: PhiProfile) -> float:
     # the sup of phi' includes its horizontal asymptote -lambda0 at infinity
     sup_sampled = max(float(np.max(phi_prime(sample, profile))), -profile.lambda0)
     if abs(-sup_sampled - mu) > 1e-7 * max(mu, 1e-30):
-        raise RuntimeError(
+        raise CrossCheckError(
             f"decay-rate cross-check failed: closed form {mu!r}, "
-            f"sampled {-sup_sampled!r}"
+            f"sampled {-sup_sampled!r}",
+            closed_form=mu,
+            sampled=-sup_sampled,
         )
     return mu
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, ScalarField, laplacian_values, make_torus_grid
-from .schrodinger import ground_state
+from .schrodinger import _least_eigenpair
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,12 @@ def ground_state_warp(tp: TwistedProduct, tol: float = 1e-8):
     u_slices = np.empty((base_n, fiber_n))
     leaf_smix = np.empty(fiber_n)
     for j in range(fiber_n):
-        spectral = ground_state(
-            tp.base_grid, ScalarField(tp.base_grid, beta_slices[:, j]), tol=tol
+        # only the eigenpair is used, so the gap estimate is skipped
+        lam, e0, *_ = _least_eigenpair(
+            tp.base_grid, ScalarField(tp.base_grid, beta_slices[:, j]), tol
         )
-        u_slices[:, j] = spectral.e0.values
-        leaf_smix[j] = tp.n * spectral.lambda0
+        u_slices[:, j] = e0
+        leaf_smix[j] = tp.n * lam
     return ScalarField(grid, u_slices.ravel()), leaf_smix
 
 

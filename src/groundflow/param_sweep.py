@@ -146,7 +146,9 @@ def sweep_ground_state(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
         try:
             spectral = ground_state(family.grid, beta, tol=tol)
         except Exception as exc:
-            raise ConvergenceError(f"ground state failed at q={q_tuple}: {exc}")
+            raise ConvergenceError(
+                f"ground state failed at q={q_tuple}: {exc}"
+            ) from exc
         _check_gap(spectral.gap, q_tuple)
         lam.append(spectral.lambda0)
         gaps.append(spectral.gap)
@@ -259,7 +261,7 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
         except AdmissibilityError as exc:
             raise AdmissibilityError(
                 f"admissibility fails first at q={q_tuple}", margin=exc.margin
-            )
+            ) from exc
         _check_gap(p.spectral.gap, q_tuple)
         problems.append(p)
 
@@ -270,7 +272,9 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
         try:
             u_star, _ = evolve_to_attractor(u0, p, tol=tol, keep_snapshots=False)
         except Exception as exc:
-            raise ConvergenceError(f"attractor failed at q={q_tuple}: {exc}")
+            raise ConvergenceError(
+                f"attractor failed at q={q_tuple}: {exc}"
+            ) from exc
         u_stars.append(u_star)
         previous = u_star
 

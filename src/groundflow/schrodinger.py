@@ -55,12 +55,36 @@ def _weighted_norm(values: np.ndarray, vol: float) -> float:
 
 
 def ground_state(grid: Grid, beta: ScalarField, tol: float = 1e-8) -> SpectralResult:
-    """Ground state of -L - beta by shifted inverse iteration.
+    """Ground state of -L - beta by shifted inverse iteration, with its gap.
+
+    The least eigenpair comes from ``_least_eigenpair``; the gap to the
+    next level is then estimated by deflated block inverse iteration on
+    the same factor and must be positive.
+    """
+    lam, v, iterations, residual, solve, apply_h = _least_eigenpair(grid, beta, tol)
+    gap = _second_eigenvalue(grid, solve, apply_h, v, grid.cell_volume) - lam
+    if gap <= 0.0:
+        raise ConvergenceError(
+            f"nonpositive spectral gap estimate ({gap:.3e})", residual=residual
+        )
+    return SpectralResult(
+        lambda0=lam,
+        e0=ScalarField(grid, v),
+        gap=gap,
+        iterations=iterations,
+        residual=residual,
+    )
+
+
+def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
+    """Least eigenpair of -L - beta by shifted inverse iteration.
 
     Iterates solves of (H - mu) w = v with renormalization until the
     Rayleigh quotient stabilizes to ``tol`` and the eigen-residual drops
     below 1e-10 * max(1, |lambda0|).  The sign is fixed so the mean is
-    positive; strict pointwise positivity is then asserted.
+    positive; strict pointwise positivity is then asserted.  Returns
+    ``(lambda0, e0 values, iterations, residual, solve, apply_h)``, the
+    last two being the shifted solver and H itself for further use.
     """
     _check_same_grid(grid, beta)
     if not 0.0 < tol <= 1e-6:
@@ -107,18 +131,7 @@ def ground_state(grid: Grid, beta: ScalarField, tol: float = 1e-8) -> SpectralRe
             f"(min={v.min():.3e}); input looks pathological",
             residual=residual,
         )
-    gap = _second_eigenvalue(grid, solve, apply_h, v, vol) - lam
-    if gap <= 0.0:
-        raise ConvergenceError(
-            f"nonpositive spectral gap estimate ({gap:.3e})", residual=residual
-        )
-    return SpectralResult(
-        lambda0=lam,
-        e0=ScalarField(grid, v),
-        gap=gap,
-        iterations=iterations,
-        residual=residual,
-    )
+    return lam, v, iterations, residual, solve, apply_h
 
 
 def _second_eigenvalue(grid, solve, apply_h, e0, vol) -> float:

@@ -1,9 +1,11 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
-from groundflow.cli import main
+from groundflow import comparison
+from groundflow.cli import _SCHEMAS, main, run
 
 TWO_PI = 2 * np.pi
 
@@ -319,6 +321,43 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 3
     assert summary["error"]["type"] == "AdmissibilityError"
     assert "margin" in summary["error"]["message"]
+
+
+def test_cross_check_failure_exit_code(tmp_path, monkeypatch):
+    exact = comparison.phi_prime
+    monkeypatch.setattr(
+        comparison, "phi_prime",
+        lambda y, p: exact(y, p) * (0.5 if np.ndim(y) else 1.0),
+    )
+    code, _, summary = run_cli(
+        tmp_path, {"subcommand": "roots", "lambda0": 0.1, "psi1": 1.0, "psi2": 1.0}
+    )
+    assert code == 3
+    assert summary["error"]["type"] == "CrossCheckError"
+    assert "decay-rate cross-check failed" in summary["error"]["message"]
+
+
+@pytest.mark.parametrize("sub", sorted(_SCHEMAS))
+def test_schemas_are_valid(sub):
+    schema = _SCHEMAS[sub]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("config", [
+    {"subcommand": "roots", "lambda0": "x", "psi1": 1.0, "psi2": 1.0},
+    {"subcommand": "roots", "lambda0": 0.1, "psi1": 1.0},
+    {"subcommand": "sweep", "grid": {"dims": [[1.0]]}, "q": {}, "beta": {},
+     "psi1": {"const": 1}, "psi2": {"form": "tan"}},
+    {"subcommand": "curvature", "mode": "warp", "v": {"const": 1, "b": 2}},
+])
+def test_config_errors_match_jsonschema_validate(tmp_path, config):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(config, _SCHEMAS[config["subcommand"]])
+    with pytest.raises(jsonschema.ValidationError) as got:
+        run(config, tmp_path)
+    assert got.value.json_path == expected.value.json_path
+    assert got.value.message == expected.value.message
+    assert not any(tmp_path.iterdir())
 
 
 def test_semantic_grid_error(tmp_path):

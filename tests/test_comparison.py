@@ -4,6 +4,7 @@ import pytest
 from groundflow import (
     AdmissibilityError,
     BlowdownError,
+    CrossCheckError,
     ExtremaCoeffs,
     ScalarField,
     check_admissible,
@@ -20,6 +21,7 @@ from groundflow import (
     profile_from_coeffs,
     scalar_flow,
 )
+from groundflow import comparison
 
 from oracles import quartic_positive_roots, scalar_ode_reference
 
@@ -217,6 +219,22 @@ def test_decay_rate_monotone_case():
     p = make_profile(1.0, 4.0, 0.0)
     assert abs(phi_prime(2.0, p) - (-2.0)) < 1e-15
     assert decay_rate_mu(0.0, p) == 1.0
+
+
+def test_decay_rate_cross_check_failure_is_typed(monkeypatch):
+    p = fig3_profile()
+    exact = comparison.phi_prime
+
+    def skewed(y, profile):
+        # the closed form reads scalars; only the sampled check sees the skew
+        return exact(y, profile) * (0.5 if np.ndim(y) else 1.0)
+
+    monkeypatch.setattr(comparison, "phi_prime", skewed)
+    with pytest.raises(CrossCheckError) as err:
+        decay_rate_mu(0.0, p)
+    assert str(err.value).startswith("decay-rate cross-check failed: closed form")
+    assert err.value.closed_form == 0.1
+    assert abs(err.value.sampled - err.value.closed_form) > 1e-7 * 0.1
 
 
 def test_decay_rate_sigma_range():

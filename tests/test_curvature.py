@@ -6,12 +6,14 @@ from groundflow import (
     TwistedProduct,
     conformal_change_residual,
     field_to_csv,
+    ground_state,
     ground_state_warp,
     make_circle_grid,
     make_torus_grid,
     mixed_scalar_curvature,
     scaled_mixed_curvature,
 )
+from groundflow.grid import laplacian_values
 
 
 def product_fields(n_base, n_fiber, fn):
@@ -117,6 +119,23 @@ def test_warp_fiber_only_v_gives_leafwise_constant_potentials():
     y2 = fiber2.coords()[0]
     err64 = np.max(np.abs(leaf_smix2 - np.cos(y2) / (2.0 + np.cos(y2))))
     assert 3.4 <= err32 / err64 <= 4.6
+
+
+def test_warp_leaves_equal_ground_state_bitwise():
+    # the warp skips the gap estimate but must give each leaf exactly the
+    # eigenpair that ground_state reports for the same potential
+    base, fiber, product, v = product_fields(
+        16, 8, lambda x, y: 2.0 + 0.5 * np.sin(x) * np.cos(y)
+    )
+    tp = TwistedProduct(base, fiber, v)
+    u, leaf_smix = ground_state_warp(tp)
+    beta = laplacian_values(product, v.values, axes=tp.fiber_axes) / v.values
+    beta = (tp.p / tp.n) * beta
+    u_leaves = u.values.reshape(16, 8)
+    for j, beta_leaf in enumerate(beta.reshape(16, 8).T):
+        spectral = ground_state(base, ScalarField(base, beta_leaf))
+        assert np.array_equal(u_leaves[:, j], spectral.e0.values)
+        assert leaf_smix[j] == tp.n * spectral.lambda0
 
 
 def test_warp_two_dimensional_base():

@@ -13,6 +13,7 @@ from groundflow import (
     sweep_ground_state,
     sweep_to_csv,
 )
+from groundflow import param_sweep
 from groundflow.heatflow import build_problem, evolve_to_attractor
 
 
@@ -198,6 +199,30 @@ def test_admissibility_failure_reports_first_q():
     with pytest.raises(AdmissibilityError) as err:
         sweep_attractor(fam)
     assert "0.3" in str(err.value)
+    assert isinstance(err.value.__cause__, AdmissibilityError)
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_sweep_failures_keep_their_cause(monkeypatch):
+    fam = corollary_family(n=16, count=3)
+    cause = ConvergenceError("inner failure", residual=1.0)
+    monkeypatch.setattr(param_sweep, "ground_state", _raise(cause))
+    with pytest.raises(ConvergenceError) as err:
+        sweep_ground_state(fam)
+    assert str(err.value) == "ground state failed at q=[0.]: inner failure"
+    assert err.value.__cause__ is cause
+
+    monkeypatch.undo()
+    monkeypatch.setattr(param_sweep, "evolve_to_attractor", _raise(cause))
+    with pytest.raises(ConvergenceError) as err:
+        sweep_attractor(fam)
+    assert str(err.value) == "attractor failed at q=[0.]: inner failure"
+    assert err.value.__cause__ is cause
 
 
 def test_gap_floor_aborts_sweep():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from groundflow import laplacian_matrix, make_circle_grid, make_torus_grid
-from groundflow._solve import spd_solver
+from groundflow._solve import _laplacian_sparse, spd_solver
 from groundflow.grid import MIN_POINTS, laplacian_values
 
 GRIDS = {
@@ -27,6 +27,31 @@ def test_spd_solver_matches_dense_oracle(name, lap_coeff):
     x = spd_solver(grid, lap_coeff, diag)(b)
     err = np.max(np.abs(x - expected)) / np.max(np.abs(expected))
     assert err <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_successive_solvers_on_one_grid_match_dense_oracle(name):
+    # every factor starts from the grid's one shared Laplacian; a write into
+    # it by an earlier call would show in the later ones
+    grid = GRIDS[name]
+    rng = np.random.default_rng(3)
+    n = grid.total_points
+    b = rng.standard_normal(n)
+    for lap_coeff in (0.0, 1e-3, 1.0, 1e-3, 0.0):
+        diag = rng.uniform(0.5, 2.0, n)
+        dense = np.diag(diag) - lap_coeff * laplacian_matrix(grid)
+        expected = np.linalg.solve(dense, b)
+        x = spd_solver(grid, lap_coeff, diag)(b)
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_equal_grids_share_one_read_only_laplacian():
+    dims = [(2 * np.pi, 6), (3.0, 5)]
+    lap = _laplacian_sparse(make_torus_grid(dims))
+    assert _laplacian_sparse(make_torus_grid(dims)) is lap
+    np.testing.assert_array_equal(lap.toarray(), laplacian_matrix(make_torus_grid(dims)))
+    with pytest.raises(ValueError):
+        lap.data[0] = 0.0
 
 
 @pytest.mark.parametrize("lap_coeff", [1e-3, 1.0])
