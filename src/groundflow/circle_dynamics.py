@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -258,8 +259,13 @@ def portrait_to_csv(
         raise ValueError("portrait u samples must be positive")
     uu, vv = np.meshgrid(u_values, v_values, indexing="ij")
     energy = hamiltonian_uv(uu, vv, beta, psi1, psi2)
+    # rows run u-major, as the ij mesh ravels; each u and v is formatted once
+    points = product(
+        map(repr, u_values.ravel().tolist()), map(repr, v_values.ravel().tolist())
+    )
     with open(path, "w") as fh:
         fh.write("u,v,H\n")
-        for row in zip(uu.ravel().tolist(), vv.ravel().tolist(),
-                       energy.ravel().tolist()):
-            fh.write("%r,%r,%r\n" % row)
+        fh.writelines(
+            "%s,%s,%r\n" % (u, v, h)
+            for (u, v), h in zip(points, energy.ravel().tolist())
+        )

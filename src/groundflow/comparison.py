@@ -238,6 +238,25 @@ def decay_rate_mu(sigma: float, profile: PhiProfile) -> float:
     return mu
 
 
+#: (stage offset, weight) of RK4 stages 2-4; stage 1 has weight 1
+_RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
+
+
+def _rk4_step(slope, inside, y, k1, step):
+    """One classical RK4 step from y (with k1 = slope(y)), or None as soon
+    as a stage or the result leaves (0, inf)."""
+    k = k1
+    weighted = k1
+    for offset, weight in _RK4_STAGES:
+        stage = y + offset * step * k
+        if not inside(stage):
+            return None
+        k = slope(stage)
+        weighted = weighted + weight * k
+    y_new = y + (step / 6.0) * weighted
+    return y_new if inside(y_new) else None
+
+
 def scalar_flow(
     y0,
     profile: PhiProfile,
@@ -247,13 +266,13 @@ def scalar_flow(
 ) -> ScalarTrajectory:
     """Integrate y' = phi(y) with classical RK4 on [0, T].
 
-    ``y0`` may be a scalar or an array (a batch of trajectories advanced
-    in lockstep).  The step is halved whenever an iterate would leave
-    (0, inf).  Initial data at or below the inner root y2 escapes toward
-    zero and is rejected.
+    ``y0`` may be a scalar, integrated on Python floats, or an array (a
+    batch of trajectories advanced in lockstep on numpy arrays).  The step
+    is halved whenever a stage or an iterate would leave (0, inf).
+    Initial data at or below the inner root y2 escapes toward zero and is
+    rejected.
     """
     y0_arr = np.atleast_1d(np.asarray(y0, dtype=float))
-    scalar_input = np.ndim(y0) == 0
     if np.any(y0_arr <= 0.0):
         raise ValueError("initial data must be positive")
     if profile.y2 is not None and np.any(y0_arr <= profile.y2):
@@ -273,51 +292,53 @@ def scalar_flow(
     def rhs(y):
         return -lam * y + A / y - B / y**3
 
+    # A scalar start runs on Python floats, which skips numpy's per-call
+    # overhead; a batch runs on arrays in lockstep.  Only the test for
+    # "every entry lies in (0, inf)" and the float guard below differ.
+    # Neither state is ever updated in place, so records need no copy.
+    if np.ndim(y0) == 0:
+        y = float(y0)
+
+        def slope(x):
+            try:
+                return rhs(x)
+            except ArithmeticError:
+                # float ** and / raise on overflow and zero divisors where
+                # numpy gives inf or nan, which then halve the step
+                return float(rhs(np.float64(x)))
+
+        def inside(x):
+            return 0.0 < x < math.inf
+    else:
+        y = y0_arr.copy()
+        slope = rhs
+
+        def inside(x):
+            return bool(((x > 0.0) & (x < math.inf)).all())
+
+    end = T - 1e-12 * max(T, 1.0)
     times = [0.0]
-    records = [y0_arr.copy()]
-    y = y0_arr.copy()
+    records = [y]
     t = 0.0
     accepted = 0
-    while t < T - 1e-12 * max(T, 1.0):
+    while t < end:
         step = min(dt, T - t)
+        k1 = slope(y)
         for _ in range(60):
-            k1 = rhs(y)
-            y2s = y + 0.5 * step * k1
-            if np.any(y2s <= 0.0):
-                step *= 0.5
-                dt = step
-                continue
-            k2 = rhs(y2s)
-            y3s = y + 0.5 * step * k2
-            if np.any(y3s <= 0.0):
-                step *= 0.5
-                dt = step
-                continue
-            k3 = rhs(y3s)
-            y4s = y + step * k3
-            if np.any(y4s <= 0.0):
-                step *= 0.5
-                dt = step
-                continue
-            k4 = rhs(y4s)
-            y_new = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if np.any(y_new <= 0.0) or not np.all(np.isfinite(y_new)):
-                step *= 0.5
-                dt = step
-                continue
-            break
+            y_new = _rk4_step(slope, inside, y, k1, step)
+            if y_new is not None:
+                break
+            step *= 0.5
+            dt = step
         else:
             raise BlowdownError("step size collapsed; trajectory escapes (0, inf)")
         y = y_new
         t += step
         accepted += 1
-        if accepted % record_every == 0 or t >= T - 1e-12 * max(T, 1.0):
+        if accepted % record_every == 0 or t >= end:
             times.append(t)
-            records.append(y.copy())
-    values = np.stack(records)
-    if scalar_input:
-        values = values[:, 0]
-    return ScalarTrajectory(times=np.asarray(times), values=values)
+            records.append(y)
+    return ScalarTrajectory(times=np.asarray(times), values=np.array(records))
 
 
 def positive_equilibria(beta: float, psi1: float, psi2: float) -> list[float]:

@@ -12,6 +12,7 @@ every leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -157,10 +158,13 @@ def conformal_change_residual(
 def field_to_csv(field: ScalarField, path):
     """One row per grid point: coordinates then the value."""
     grid = field.grid
-    mesh = [m.ravel() for m in grid.meshgrid()]
     header = ",".join(f"x{d}" for d in range(grid.ndim)) + ",value"
+    # C order is the product of the axes, last axis fastest; each coordinate
+    # is formatted once per axis, not once per row
+    axis_reprs = [[repr(x) for x in c.tolist()] for c in grid.coords()]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i, val in enumerate(field.values):
-            coords = ",".join(repr(float(m[i])) for m in mesh)
-            fh.write(f"{coords},{float(val)!r}\n")
+        fh.writelines(
+            "%s,%r\n" % (",".join(point), val)
+            for point, val in zip(product(*axis_reprs), field.values.tolist())
+        )

@@ -1,11 +1,13 @@
 import json
+import time
 
 import jsonschema
 import numpy as np
 import pytest
 
-from groundflow import comparison
+from groundflow import cli, comparison
 from groundflow.cli import _SCHEMAS, main, run
+from oracles import scalar_ode_reference
 
 TWO_PI = 2 * np.pi
 
@@ -134,6 +136,34 @@ def test_ode_subcommand(tmp_path):
     assert summary["flow"]["terminal"] == pytest.approx(
         summary["flow"]["target_y1"], abs=1e-6
     )
+
+
+def test_ode_flow_matches_reference_within_budget(tmp_path, monkeypatch):
+    # 10,000 RK4 steps at the default dt: a few hundredths of a second on
+    # floats, about 0.6 s when every step runs numpy on one-element arrays
+    elapsed = []
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        traj = comparison.scalar_flow(*args, **kwargs)
+        elapsed.append(time.perf_counter() - start)
+        return traj
+
+    monkeypatch.setattr(cli, "scalar_flow", timed)
+    cfg = {
+        "subcommand": "ode",
+        "beta": -0.1,
+        "psi1": 1.0,
+        "psi2": 1.0,
+        "y0": 5.0,
+        "T": 100.0,
+    }
+    code, _, summary = run_cli(tmp_path, cfg)
+    assert code == 0
+    ref = scalar_ode_reference(0.1, 1.0, 1.0, 5.0, np.array([0.0, 100.0]))[-1]
+    assert summary["flow"]["terminal"] == pytest.approx(ref, rel=1e-8, abs=0.0)
+    assert len(elapsed) == 1
+    assert elapsed[0] < 0.5
 
 
 def test_ode_flow_requires_negative_beta(tmp_path):

@@ -319,6 +319,58 @@ def test_flow_batch_monotone_convergence():
     assert np.all(diffs[:, ~below] < 1e-12)
 
 
+@pytest.mark.parametrize(
+    "y0,T,dt,record_every",
+    [
+        (5.0, 100.0, None, 10),  # the CLI ode defaults
+        (2.0, 50.0, 0.01, 7),
+        (1.2, 30.0, 0.05, 1),
+    ],
+)
+def test_flow_scalar_matches_one_element_batch(y0, T, dt, record_every):
+    # floats and numpy arrays may differ in y**3 by an ulp, so values are
+    # compared at 1e-14 relative; the steps themselves must be the same
+    p = fig3_profile()
+    scalar = scalar_flow(y0, p, T, dt=dt, record_every=record_every)
+    batch = scalar_flow(np.array([y0]), p, T, dt=dt, record_every=record_every)
+    assert scalar.values.shape == scalar.times.shape
+    assert batch.values.shape == scalar.times.shape + (1,)
+    np.testing.assert_array_equal(scalar.times, batch.times)
+    np.testing.assert_allclose(scalar.values, batch.values[:, 0], rtol=1e-14, atol=0)
+    assert np.ndim(scalar.terminal) == 0
+
+
+def test_flow_halves_large_steps_alike_for_scalar_and_batch():
+    p = fig3_profile()
+    dt = 50.0
+    scalar = scalar_flow(2.0, p, T=100.0, dt=dt)
+    batch = scalar_flow(np.array([2.0, 2.0]), p, T=100.0, dt=dt)
+    steps = np.diff(scalar.times)
+    # the first step from y = 2 overshoots below zero at full size
+    assert steps[0] < dt
+    assert np.all(steps <= steps[0])
+    np.testing.assert_array_equal(steps, np.diff(batch.times))
+    assert scalar.times[-1] == pytest.approx(100.0, abs=1e-10)
+    np.testing.assert_allclose(batch.values[:, 0], scalar.values, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(batch.values[:, 0], batch.values[:, 1])
+
+
+@pytest.mark.parametrize("y0", [2.0, np.array([2.0, 3.0])], ids=["scalar", "batch"])
+def test_flow_step_collapse_raises(y0):
+    # sixty halvings of 1e300 still leave every stage far outside (0, inf)
+    with np.errstate(all="ignore"), pytest.raises(BlowdownError, match="collapsed"):
+        scalar_flow(y0, fig3_profile(), T=1e300, dt=1e300)
+
+
+@pytest.mark.parametrize("y0", [1e-200, np.array([1e-200])], ids=["scalar", "batch"])
+def test_flow_underflowing_start_collapses_without_arithmetic_error(y0):
+    # with B = 0 there is no inner root, so a tiny start passes the input
+    # checks; y**3 underflows and B/y**3 is 0/0, nan in IEEE arithmetic
+    p = make_profile(0.1, 1.0, 0.0)
+    with np.errstate(all="ignore"), pytest.raises(BlowdownError):
+        scalar_flow(y0, p, T=5.0, dt=0.5)
+
+
 def test_flow_contraction_bound_on_shrunken_basin():
     p = fig3_profile()
     eps = 0.5 * (p.y1 - p.y3)

@@ -261,3 +261,26 @@ def test_field_csv(tmp_path):
     assert lines[0] == "x0,x1,value"
     assert len(lines) == 17
     assert lines[1].split(",") == ["0.0", "0.0", "2.5"]
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        [(2 * np.pi, 7)],
+        [(2 * np.pi, 5), (1.3, 4)],
+        [(1.0, 5), (2 * np.pi, 4), (0.7, 6)],
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_field_csv_rows_match_meshgrid(tmp_path, dims):
+    g = make_torus_grid(dims)
+    f = ScalarField(g, np.random.RandomState(17).standard_normal(g.total_points))
+    path = tmp_path / "field.csv"
+    field_to_csv(f, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(f"x{d}" for d in range(g.ndim)) + ",value"
+    assert len(lines) == g.total_points + 1
+    mesh = [m.ravel() for m in g.meshgrid()]
+    for i, line in enumerate(lines[1:]):
+        point = [float(m[i]) for m in mesh] + [float(f.values[i])]
+        assert line.split(",") == [repr(x) for x in point]
