@@ -5,7 +5,9 @@ stencil Laplacian, so it is symmetric under the uniform-weight inner
 product and its least eigenvalue is simple with a positive eigenvector
 (M-matrix structure after the shift below).  The ground state is computed
 by inverse iteration on the shifted operator H - mu, which is positive
-definite for mu below -max(beta).
+definite for mu below -max(beta).  The next level lambda1 comes from
+Lanczos on (H - mu)^-1 with the ground state deflated, using the same
+factor of H - mu.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .grid import (
 
 _MAX_ITERATIONS = 2000
 _RESIDUAL_FRACTION = 0.5e-10  # target residual relative to max(1, |lambda0|)
+_LANCZOS_STEPS = 300
+_LANCZOS_TOL = 1e-13  # Ritz residual bound relative to the Ritz value
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,12 @@ def _weighted_norm(values: np.ndarray, vol: float) -> float:
 def ground_state(grid: Grid, beta: ScalarField, tol: float = 1e-8) -> SpectralResult:
     """Ground state of -L - beta by shifted inverse iteration, with its gap.
 
-    The least eigenpair comes from ``_least_eigenpair``; the gap to the
-    next level is then estimated by deflated block inverse iteration on
-    the same factor and must be positive.
+    The least eigenpair comes from ``_least_eigenpair``; the next level is
+    then found by Lanczos on the inverse of the same shifted factor with
+    the ground state deflated, and the gap must be positive.
     """
-    lam, v, iterations, residual, solve, apply_h = _least_eigenpair(grid, beta, tol)
-    gap = _second_eigenvalue(grid, solve, apply_h, v, grid.cell_volume) - lam
+    lam, v, iterations, residual, solve, mu = _least_eigenpair(grid, beta, tol)
+    gap = _second_eigenvalue(solve, v, grid.cell_volume, mu) - lam
     if gap <= 0.0:
         raise ConvergenceError(
             f"nonpositive spectral gap estimate ({gap:.3e})", residual=residual
@@ -81,10 +85,12 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
 
     Iterates solves of (H - mu) w = v with renormalization until the
     Rayleigh quotient stabilizes to ``tol`` and the eigen-residual drops
-    below 1e-10 * max(1, |lambda0|).  The sign is fixed so the mean is
+    below 0.5e-10 * max(1, |lambda0|), or below the round-off in applying
+    L (machine epsilon times its norm bound sum_d 4/h_d^2) where that is
+    larger, as on fine 1-d grids.  The sign is fixed so the mean is
     positive; strict pointwise positivity is then asserted.  Returns
-    ``(lambda0, e0 values, iterations, residual, solve, apply_h)``, the
-    last two being the shifted solver and H itself for further use.
+    ``(lambda0, e0 values, iterations, residual, solve, mu)``, the last
+    two being the solver of H - mu and the shift, for further use.
     """
     _check_same_grid(grid, beta)
     if not 0.0 < tol <= 1e-6:
@@ -93,9 +99,7 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
     b = beta.values
     mu = shift_for_positivity(beta)
     solve = spd_solver(grid, 1.0, -b - mu)
-
-    def apply_h(v):
-        return -laplacian_values(grid, v) - b * v
+    round_off = np.finfo(float).eps * sum(4.0 / (h * h) for h in grid.spacings)
 
     v = np.full(grid.total_points, 1.0)
     v /= _weighted_norm(v, vol)
@@ -105,12 +109,13 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
     for iterations in range(1, _MAX_ITERATIONS + 1):
         w = solve(v)
         w /= _weighted_norm(w, vol)
-        hw = apply_h(w)
+        hw = -laplacian_values(grid, w) - b * w
         lam_new = vol * float(np.dot(w, hw))
         residual = _weighted_norm(hw - lam_new * w, vol)
+        target = max(_RESIDUAL_FRACTION * max(1.0, abs(lam_new)), round_off)
         converged = (
             abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
-            and residual <= _RESIDUAL_FRACTION * max(1.0, abs(lam_new))
+            and residual <= target
         )
         v = w
         lam = lam_new
@@ -131,31 +136,48 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
             f"(min={v.min():.3e}); input looks pathological",
             residual=residual,
         )
-    return lam, v, iterations, residual, solve, apply_h
+    return lam, v, iterations, residual, solve, mu
 
 
-def _second_eigenvalue(grid, solve, apply_h, e0, vol) -> float:
-    """Deflated block inverse iteration for lambda1 (gap estimation only).
+def _second_eigenvalue(solve, e0, vol, mu) -> float:
+    """lambda1 by Lanczos on (H - mu)^-1 with e0 deflated (gap estimation only).
 
-    A single deflated vector stalls when lambda1 is nearly degenerate, so
-    a small block with Rayleigh-Ritz extraction is used; its smallest Ritz
-    value converges at the rate set by the first level outside the block.
+    ``solve`` applies (H - mu)^-1, whose eigenvalues are 1/(lambda_i - mu);
+    with e0 projected out after every solve its largest is 1/(lambda1 - mu).
+    The start vector is fixed, and each new Lanczos vector is
+    reorthogonalized against the whole basis by two classical Gram-Schmidt
+    passes, so the result is reproducible and nearly degenerate levels
+    converge without stalling.  Iteration stops once the top Ritz value
+    theta has a residual bound below ``_LANCZOS_TOL * theta`` or the
+    deflated Krylov space is exhausted; lambda1 is then mu + 1/theta.
     """
-    n = grid.total_points
-    k = min(3, n - 1)
-    rng = np.random.RandomState(12345)
-    block = rng.standard_normal((n, k))
-    lam = np.inf
-    for _ in range(300):
-        block = np.column_stack([solve(col) for col in block.T])
-        block -= np.outer(e0, vol * (e0 @ block))
-        block, _ = np.linalg.qr(block)
-        ritz = block.T @ np.column_stack([apply_h(col) for col in block.T])
-        lam_new = float(np.min(scipy.linalg.eigvalsh(0.5 * (ritz + ritz.T))))
-        if abs(lam_new - lam) <= 1e-9 * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    raise ConvergenceError("block iteration for the spectral gap stalled")
+    n = e0.size
+    steps = min(n - 1, _LANCZOS_STEPS)
+    q = np.random.RandomState(12345).standard_normal(n)
+    q -= e0 * (vol * np.dot(e0, q))
+    q /= np.linalg.norm(q)
+    basis = np.empty((0, n))  # grown 32 rows at a time, as the steps need
+    diag, offdiag = [], []
+    for k in range(steps):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((32, n))])
+        basis[k] = q
+        w = solve(q)
+        w -= e0 * (vol * np.dot(e0, w))
+        diag.append(np.dot(q, w))
+        for _ in range(2):
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        norm = np.linalg.norm(w)
+        theta, s = scipy.linalg.eigh_tridiagonal(
+            diag, offdiag, select="i", select_range=(k, k)
+        )
+        if norm * abs(s[-1, 0]) <= _LANCZOS_TOL * theta[0] or k + 1 == n - 1:
+            return mu + 1.0 / float(theta[0])
+        offdiag.append(norm)
+        q = w / norm
+    raise ConvergenceError(
+        f"Lanczos for the spectral gap did not converge in {steps} steps"
+    )
 
 
 def spectrum_oracle(grid: Grid, beta: ScalarField, k: int) -> np.ndarray:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import groundflow
 from groundflow import cli, comparison
 from groundflow.cli import _SCHEMAS, main, run
 from oracles import scalar_ode_reference
@@ -65,6 +70,39 @@ def test_ground_state_subcommand(tmp_path):
     lines = (out_dir / "e0.csv").read_text().splitlines()
     assert lines[0] == "x0,value"
     assert len(lines) == 33
+
+
+def test_ground_state_gap_repeats_across_processes(tmp_path):
+    # a square torus with a nearly degenerate lambda1: the gap must come out
+    # bit-identical in fresh interpreters and in this one
+    cfg = {
+        "subcommand": "ground-state",
+        "grid": {"dims": [[TWO_PI, 32], [TWO_PI, 32]]},
+        "beta": {
+            "form": "product",
+            "factors": [
+                {"form": "cos", "a": 0.0, "b": 0.05, "k": 1},
+                {"form": "cos", "a": 0.0, "b": 1.0, "k": 1},
+            ],
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(groundflow.__file__).parents[1]))
+    outputs = []
+    for name in ("fresh1", "fresh2"):
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from groundflow.cli import main; sys.exit(main(sys.argv[1:]))",
+             str(path), "--out", str(tmp_path / name)],
+            env=env, check=True, timeout=120,
+        )
+        outputs.append(tmp_path / name)
+    code, out_dir, summary = run_cli(tmp_path, cfg, out="in_process")
+    assert code == 0 and summary["gap"] > 0.0
+    outputs.append(out_dir)
+    for name in ("summary.json", "e0.csv"):
+        assert len({(out / name).read_bytes() for out in outputs}) == 1
 
 
 def test_attract_subcommand(tmp_path):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,9 @@ from groundflow import (
     shift_for_positivity,
     spectrum_oracle,
 )
+from groundflow import _solve, schrodinger
+
+TWO_PI = 2 * np.pi
 
 
 def _trig_beta(rng, grid):
@@ -152,3 +157,83 @@ def test_torus_ground_state_positive():
     assert r.e0.min() > 0.0
     dense = spectrum_oracle(g, beta, 1)
     assert abs(r.lambda0 - dense[0]) < 1e-10
+
+
+def _relative_gap_error(grid, beta):
+    r = ground_state(grid, beta)
+    lo = spectrum_oracle(grid, beta, 2)
+    return abs(r.gap - (lo[1] - lo[0])) / (lo[1] - lo[0])
+
+
+@pytest.mark.parametrize(
+    "beta_fn",
+    [
+        lambda x, y: -0.1 + 0.05 * np.cos(x) * np.cos(y),
+        # lambda1..lambda4 form a cluster within 2% of each other
+        lambda x, y: -0.1 + 0.05 * np.cos(x) + 0.02 * np.sin(2 * y),
+        # an exactly 4-fold degenerate lambda1
+        lambda x, y: -0.1,
+    ],
+    ids=["cos-x-cos-y", "four-level-cluster", "constant"],
+)
+def test_square_torus_gap_matches_dense_oracle(beta_fn):
+    g = make_torus_grid([(TWO_PI, 32), (TWO_PI, 32)])
+    assert _relative_gap_error(g, ScalarField.from_function(g, beta_fn)) < 1e-9
+
+
+@pytest.mark.parametrize("dims", [[(TWO_PI, 4)], [(TWO_PI, 4)] * 3], ids=["4", "4x4x4"])
+def test_gap_on_exhausted_krylov_space(dims):
+    g = make_torus_grid(dims)
+    for amp in (0.0, 0.3):
+        beta = ScalarField.from_function(g, lambda x, *_: -0.1 + amp * np.cos(x))
+        assert _relative_gap_error(g, beta) < 1e-9
+
+
+def _cos_beta(grid, amp):
+    return ScalarField.from_function(grid, lambda x: -0.1 + amp * np.cos(x))
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.05])
+def test_large_circle_matches_dense_oracle(amp):
+    g = make_circle_grid(TWO_PI, 4096)
+    beta = _cos_beta(g, amp)
+    r = ground_state(g, beta)
+    lo = spectrum_oracle(g, beta, 2)
+    assert abs(r.lambda0 - lo[0]) < 1e-9 * max(1.0, abs(lo[0]))
+    assert abs(r.gap - (lo[1] - lo[0])) < 1e-9 * (lo[1] - lo[0])
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.05])
+def test_finest_circle_within_budget(amp):
+    # the eigen-residual floor of applying L grows as 4/h^2; a residual
+    # target below it made inverse iteration run out of steps here
+    g = make_circle_grid(TWO_PI, 16384)
+    start = time.perf_counter()
+    r = ground_state(g, _cos_beta(g, amp))
+    assert time.perf_counter() - start < 3.0
+    assert r.e0.min() > 0.0
+    if amp == 0.0:
+        h = g.spacings[0]
+        assert abs(r.lambda0 - 0.1) < 1e-9
+        assert abs(r.gap - (4.0 / h**2) * np.sin(h / 2.0) ** 2) < 1e-9
+
+
+def test_gap_spends_few_solves(monkeypatch):
+    solves = 0
+    make_solver = _solve.spd_solver
+
+    def counting_solver(*args):
+        solve = make_solver(*args)
+
+        def counted(rhs):
+            nonlocal solves
+            solves += 1
+            return solve(rhs)
+        return counted
+
+    monkeypatch.setattr(schrodinger, "spd_solver", counting_solver)
+    g = make_torus_grid([(TWO_PI, 32), (TWO_PI, 32)])
+    beta = ScalarField.from_function(g, lambda x, y: -0.1 + 0.03 * np.cos(x))
+    r = ground_state(g, beta)
+    # one solve per inverse iteration; the rest went to the gap
+    assert solves - r.iterations <= 40
