@@ -1,7 +1,9 @@
 """Shared sparse-direct solver for symmetric positive definite grid operators.
 
 Systems have the form ``A v = lap_coeff * (-Laplacian v) + diag * v`` with
-``lap_coeff >= 0`` and a strictly positive effective diagonal, so A is SPD.
+``lap_coeff >= 0`` and a strictly positive effective diagonal, so A is SPD;
+the one exception, the Newton Jacobian of the stationary equation, is SPD
+at a stable attractor without a pointwise positive diagonal.
 A is assembled as a sparse matrix, the Laplacian being the Kronecker sum
 of the 1-d cyclic second-difference matrices over the grid axes, and
 factored once by SuperLU under the symmetric minimum-degree ordering of

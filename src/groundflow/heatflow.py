@@ -6,7 +6,9 @@ rational nonlinearity explicit.  The implicit matrix is an M-matrix, so
 the scheme inherits the ordering and positivity structure that the
 certification reports (attractor sandwich, exponential contraction,
 comparison principle) rely on.  A fixed point of the scheme solves the
-discrete stationary equation exactly, independent of dt.
+discrete stationary equation exactly, independent of dt.  Where only the
+attractor is needed (parameter sweeps), a private Newton routine solves
+that stationary equation directly and certifies its root in the sandwich.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from .errors import (
 from .grid import Grid, ScalarField, _check_same_grid, laplacian_values
 from .schrodinger import SpectralResult, ground_state
 
-_SLACK = 1e-12  # tolerance band for open-set basin membership
+_SLACK = 1e-12  # round-off band for basin and sandwich membership
 _MAX_HALVINGS = 60
 _DOUBLE_EVERY = 50  # accepted steps between dt doublings
+_NEWTON_MAX_ITERATIONS = 50
+_NEWTON_STEP_RTOL = 1e-13  # Newton stops at a step this small relative to max|u|
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,26 @@ class _Stepper:
         return candidate
 
 
+def _advance(stepper: _Stepper, values: np.ndarray, dt: float):
+    """One IMEX step of at most dt on raw values, halving on positivity loss.
+
+    Returns ``(candidate, dt_used)``; raises :class:`PositivityLossError`
+    when halving maxes out.  Shared by :func:`step` and the flow's loop.
+    """
+    attempt = dt
+    for _ in range(_MAX_HALVINGS):
+        candidate = stepper.try_step(values, attempt)
+        if candidate is not None:
+            return candidate, attempt
+        attempt *= 0.5
+    raise PositivityLossError(
+        "positivity lost after maximal dt halving; "
+        "initial data looks outside the basin",
+        dt=attempt,
+        min_value=float(values.min()),
+    )
+
+
 def step(u: ScalarField, p: ProblemData, dt: float, stepper: _Stepper | None = None):
     """One IMEX step, halving dt on positivity loss.
 
@@ -242,18 +266,8 @@ def step(u: ScalarField, p: ProblemData, dt: float, stepper: _Stepper | None = N
         return u, 0.0
     if stepper is None:
         stepper = _Stepper(p)
-    attempt = dt
-    for _ in range(_MAX_HALVINGS):
-        candidate = stepper.try_step(u.values, attempt)
-        if candidate is not None:
-            return ScalarField(p.grid, candidate), attempt
-        attempt *= 0.5
-    raise PositivityLossError(
-        "positivity lost after maximal dt halving; "
-        "initial data looks outside the basin",
-        dt=attempt,
-        min_value=float(u.min()),
-    )
+    candidate, dt_used = _advance(stepper, u.values, dt)
+    return ScalarField(p.grid, candidate), dt_used
 
 
 def _dt_limits(p: ProblemData):
@@ -314,8 +328,7 @@ def evolve_to_attractor(
     converged_at = None
 
     while t < t_max:
-        field, dt_used = step(ScalarField(p.grid, u), p, dt, stepper)
-        candidate = field.values
+        candidate, dt_used = _advance(stepper, u, dt)
         if dt_used < dt:
             dt = dt_used
         inc = float(np.max(np.abs(candidate - u))) / dt_used
@@ -327,12 +340,7 @@ def evolve_to_attractor(
                 time=t,
                 min_ratio=float(np.min(candidate / e0)),
             )
-        converged = inc < inc_tol and (
-            stationary_residual_fields(
-                ScalarField(p.grid, candidate), p.grid, p.beta, p.psi1, p.psi2
-            )
-            < 10.0 * tol
-        )
+        converged = inc < inc_tol and _sup_residual(candidate, p) < 10.0 * tol
         if converged and accepted == 1:
             # stationary initial data: keep the single-entry trace
             u = candidate
@@ -400,12 +408,17 @@ def stationary_residual_fields(
     _check_same_grid(grid, u)
     if u.min() <= 0.0:
         raise ValueError("field must be strictly positive")
-    res = (
-        -laplacian_values(grid, u.values)
-        - beta.values * u.values
-        - psi1.values / u.values
-        + psi2.values / u.values**3
-    )
+    res = _residual_values(grid, u.values, beta.values, psi1.values, psi2.values)
+    return float(np.max(np.abs(res)))
+
+
+def _residual_values(grid: Grid, u, beta, psi1, psi2) -> np.ndarray:
+    """-L u - beta*u - psi1/u + psi2/u^3 on raw value arrays."""
+    return -laplacian_values(grid, u) - beta * u - psi1 / u + psi2 / u**3
+
+
+def _sup_residual(u: np.ndarray, p: ProblemData) -> float:
+    res = _residual_values(p.grid, u, p.beta.values, p.psi1.values, p.psi2.values)
     return float(np.max(np.abs(res)))
 
 
@@ -430,6 +443,66 @@ def certify_sandwich(
         y1_plus=y1p,
         tol_h=tol_h,
         passed=(lo >= y1m - tol_h) and (hi <= y1p + tol_h),
+    )
+
+
+def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> ScalarField:
+    """The attractor as the stationary solution found by Newton's method.
+
+    The attractor is the unique positive stationary solution in the
+    basin, and the sandwich ``[y1_minus*e0, y1_plus*e0]`` lies in the
+    basin, so a stationary solution certified inside the sandwich is the
+    attractor.  Newton is not globally convergent: ``u0_values`` must lie
+    in the sandwich.  Each iteration factors the Jacobian
+    ``-L - beta + psi1/u**2 - 3*psi2/u**4`` (SPD at a stable attractor),
+    halves the step until the iterate stays positive, and stops once the
+    step is at most 1e-13 of max|u|.  The result is certified by
+    positivity, a stationary residual of at most ``10*tol`` (the flow's
+    bound) and the sandwich, widened only by the round-off band
+    ``1e-12*max(1, y1_plus)`` (for constant data the sandwich is a single
+    ratio, which the computed u/e0 meets only to an ulp or so); any
+    failure raises :class:`ConvergenceError` carrying the residual.
+    """
+    grid = p.grid
+    beta, psi1, psi2 = p.beta.values, p.psi1.values, p.psi2.values
+    u = np.asarray(u0_values, dtype=float)
+    for iteration in range(1, _NEWTON_MAX_ITERATIONS + 1):
+        res = _residual_values(grid, u, beta, psi1, psi2)
+        try:
+            solve = spd_solver(grid, 1.0, psi1 / u**2 - 3.0 * psi2 / u**4 - beta)
+        except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+            raise _newton_failure("hit a singular Jacobian", u, p, iteration) from exc
+        delta = solve(res)  # J delta = res, so the Newton step is -delta
+        if not np.all(np.isfinite(delta)):
+            raise _newton_failure("produced a non-finite step", u, p, iteration)
+        scale = 1.0
+        for _ in range(_MAX_HALVINGS):
+            candidate = u - scale * delta
+            if candidate.min() > 0.0:
+                break
+            scale *= 0.5
+        else:
+            raise _newton_failure("lost positivity", u, p, iteration)
+        u = candidate
+        if scale * float(np.max(np.abs(delta))) <= _NEWTON_STEP_RTOL * float(u.max()):
+            break
+    else:
+        raise _newton_failure("did not converge", u, p, iteration)
+    u_star = ScalarField(grid, u)
+    residual = _sup_residual(u, p)
+    slack = _SLACK * max(1.0, p.profile_plus.y1)
+    if residual > 10.0 * tol or not certify_sandwich(u_star, p, slack).passed:
+        raise _newton_failure("did not certify its root", u, p, iteration)
+    return u_star
+
+
+def _newton_failure(reason: str, u: np.ndarray, p: ProblemData, iterations: int):
+    residual = _sup_residual(u, p)
+    return ConvergenceError(
+        f"Newton iteration {reason} after {iterations} iterations "
+        f"(min_ratio={float(np.min(u / p.e0.values))!r}, "
+        f"max_ratio={float(np.max(u / p.e0.values))!r}, residual={residual!r})",
+        residual=residual,
     )
 
 

@@ -4,7 +4,9 @@ Tracks lambda0(q), e0(., q) and the attractor u_star(., q) over a uniform
 grid of one or two parameters, with finite-difference smoothness
 diagnostics: smooth dependence is certified at desk scale by difference
 quotients that converge at the expected rate under dyadic subsampling,
-and by bounded Lipschitz quotients of the fields.
+and by bounded Lipschitz quotients of the fields.  The attractor at each
+q is found by Newton's method on the stationary equation, started inside
+the sandwich and certified there, rather than by marching the heat flow.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConvergenceError
+from .errors import AdmissibilityError, ConvergenceError, GroundflowError
 from .grid import Grid, ScalarField
-from .heatflow import ProblemData, build_problem, evolve_to_attractor
+from .heatflow import ProblemData, _newton_stationary, build_problem
 from .schrodinger import ground_state
 
 _GAP_FLOOR = 1e-6  # abort threshold: suspected eigenvalue crossing
@@ -145,7 +147,7 @@ def sweep_ground_state(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
         beta, _, _ = family.at(q_tuple)
         try:
             spectral = ground_state(family.grid, beta, tol=tol)
-        except Exception as exc:
+        except GroundflowError as exc:
             raise ConvergenceError(
                 f"ground state failed at q={q_tuple}: {exc}"
             ) from exc
@@ -249,10 +251,17 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
     """Attractor at every parameter point, warm-started along the sweep.
 
     Admissibility is verified for every q up front (the first offending
-    q is reported); each subsequent point starts from the previous
-    attractor when that still lies in the new basin, else from a cold
-    start at the midpoint ratio.
+    q is reported).  Each attractor is the stationary solution found by
+    Newton's method and certified inside the sandwich
+    ``[y1_minus*e0, y1_plus*e0]`` with a stationary residual of at most
+    ``10*tol`` (see ``heatflow._newton_stationary``).  The first q starts
+    from the midpoint ratio; each later q starts from the previous
+    attractor with its ratio u/e0 clipped into the new sandwich, since
+    Newton may fail from starts far outside it.  ``tol`` must lie in
+    (0, 1e-4].
     """
+    if not 0.0 < tol <= 1e-4:
+        raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     problems: list[ProblemData] = []
     for q_tuple in family.q_points:
         beta, psi1, psi2 = family.at(q_tuple)
@@ -268,10 +277,9 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
     u_stars: list[ScalarField] = []
     previous: ScalarField | None = None
     for p, q_tuple in zip(problems, family.q_points):
-        u0 = _start_field(p, previous)
         try:
-            u_star, _ = evolve_to_attractor(u0, p, tol=tol, keep_snapshots=False)
-        except Exception as exc:
+            u_star = _newton_stationary(_start_field(p, previous), p, tol)
+        except GroundflowError as exc:
             raise ConvergenceError(
                 f"attractor failed at q={q_tuple}: {exc}"
             ) from exc
@@ -297,14 +305,14 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
     )
 
 
-def _start_field(p: ProblemData, previous: ScalarField | None) -> ScalarField:
-    y3 = p.profile_minus.y3 if p.profile_minus.y3 is not None else 0.0
-    if previous is not None:
-        ratios = previous.values / p.e0.values
-        if float(ratios.min()) > y3 + 1e-9:
-            return ScalarField(p.grid, previous.values)
-    mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1)
-    return ScalarField(p.grid, mid * p.e0.values)
+def _start_field(p: ProblemData, previous: ScalarField | None) -> np.ndarray:
+    """Newton start inside the sandwich: the previous attractor's ratio
+    clipped into [y1_minus, y1_plus], or the midpoint ratio for the first q."""
+    y1m, y1p = p.profile_minus.y1, p.profile_plus.y1
+    e0 = p.e0.values
+    if previous is None:
+        return 0.5 * (y1m + y1p) * e0
+    return np.clip(previous.values / e0, y1m, y1p) * e0
 
 
 def sweep_to_csv(result: SweepResult, path):

@@ -354,6 +354,22 @@ def test_sweep_subcommand(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+def test_sweep_bad_tol_is_a_config_error(tmp_path, tol):
+    cfg = {
+        "subcommand": "sweep",
+        "grid": {"dims": [[TWO_PI, 16]]},
+        "q": {"start": 0.0, "stop": 0.4, "count": 3},
+        "beta": {"const": -1.0},
+        "psi1": {"const": 2.0},
+        "psi2": {"const": 0.0},
+        "tol": tol,
+    }
+    code, _, summary = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert summary is None
+
+
 def test_unknown_key_rejected(tmp_path):
     code, _, _ = run_cli(
         tmp_path,

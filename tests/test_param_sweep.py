@@ -13,8 +13,8 @@ from groundflow import (
     sweep_ground_state,
     sweep_to_csv,
 )
-from groundflow import param_sweep
-from groundflow.heatflow import build_problem, evolve_to_attractor
+from groundflow import heatflow, make_torus_grid, param_sweep, stationary_residual
+from groundflow.heatflow import _newton_stationary, build_problem, evolve_to_attractor
 
 
 def cosine_family(n=64, q_start=0.0, q_stop=2.0, count=21):
@@ -218,11 +218,31 @@ def test_sweep_failures_keep_their_cause(monkeypatch):
     assert err.value.__cause__ is cause
 
     monkeypatch.undo()
-    monkeypatch.setattr(param_sweep, "evolve_to_attractor", _raise(cause))
+    monkeypatch.setattr(param_sweep, "_newton_stationary", _raise(cause))
     with pytest.raises(ConvergenceError) as err:
         sweep_attractor(fam)
     assert str(err.value) == "attractor failed at q=[0.]: inner failure"
     assert err.value.__cause__ is cause
+
+
+def test_sweep_programming_errors_are_not_wrapped(monkeypatch):
+    fam = corollary_family(n=16, count=3)
+    monkeypatch.setattr(param_sweep, "ground_state", _raise(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        sweep_ground_state(fam)
+    monkeypatch.undo()
+    monkeypatch.setattr(param_sweep, "_newton_stationary", _raise(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        sweep_attractor(fam)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-3])
+def test_sweep_attractor_rejects_bad_tol_before_any_work(tol):
+    g = make_circle_grid(2 * np.pi, 16)
+    never = _raise(AssertionError("evaluated a field before checking tol"))
+    fam = ParamFamily(g, (np.linspace(0.0, 1.0, 3),), never, never, never)
+    with pytest.raises(ValueError, match="tol"):
+        sweep_attractor(fam, tol=tol)
 
 
 def test_gap_floor_aborts_sweep():
@@ -253,3 +273,161 @@ def test_sweep_csv(tmp_path):
     gs_only = sweep_ground_state(corollary_family(n=32, count=5))
     with pytest.raises(ValueError):
         sweep_to_csv(gs_only, tmp_path / "nope.csv")
+
+
+# ---------------------------------------------------------------- Newton
+
+
+def _sandwich_starts(p):
+    y1m, y1p = p.profile_minus.y1, p.profile_plus.y1
+    return [r * p.e0.values for r in (y1m, 0.5 * (y1m + y1p), y1p)]
+
+
+def _assert_newton_matches_flow(p, tol):
+    starts = _sandwich_starts(p)
+    flow, _ = evolve_to_attractor(
+        ScalarField(p.grid, starts[1]), p, tol=tol, keep_snapshots=False
+    )
+    for start in starts:
+        u = _newton_stationary(start, p, tol)
+        assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
+        assert stationary_residual(u, p) <= 10.0 * tol
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
+def test_newton_cold_starts_match_flow_on_corollary_family(q):
+    fam = corollary_family(n=64)
+    tol = 1e-9
+    p = build_problem(fam.grid, *fam.at((q,)), tol=tol)
+    _assert_newton_matches_flow(p, tol)
+
+
+@pytest.mark.parametrize("b", [0.02, 0.04])
+def test_newton_cold_starts_match_flow_on_torus(b):
+    g = make_torus_grid([(2 * np.pi, 32), (2 * np.pi, 32)])
+    tol = 1e-9
+    p = build_problem(
+        g,
+        ScalarField.from_function(g, lambda x, y: -0.1 + b * np.cos(x)),
+        ScalarField.constant(g, 1.0),
+        ScalarField.constant(g, 1.0),
+        tol=tol,
+    )
+    _assert_newton_matches_flow(p, tol)
+
+
+def test_newton_on_16384_point_circle():
+    # round-off in applying L puts the stationary residual floor near
+    # 5.9e-9 here, inside 10*tol for Newton's root; the flow's own iterates
+    # sit near 1.8e-8, so the flow is compared at its loosest passing tol
+    g = make_circle_grid(2 * np.pi, 16384)
+    tol = 1e-9
+    p = build_problem(
+        g,
+        ScalarField.from_function(g, lambda x: -0.1 + 0.03 * np.cos(x)),
+        ScalarField.constant(g, 1.0),
+        ScalarField.constant(g, 1.0),
+        tol=tol,
+    )
+    mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1)
+    u = _newton_stationary(mid * p.e0.values, p, tol)
+    assert stationary_residual(u, p) <= 10.0 * tol
+    flow_tol = 1e-8
+    flow, _ = evolve_to_attractor(
+        ScalarField(g, mid * p.e0.values), p, tol=flow_tol, keep_snapshots=False
+    )
+    assert np.max(np.abs(u.values - flow.values)) <= 10.0 * flow_tol
+
+
+def _cosine_circle_problem(n=64, tol=1e-9):
+    g = make_circle_grid(2 * np.pi, n)
+    return build_problem(
+        g,
+        ScalarField.from_function(g, lambda x: -0.05 + 0.04 * np.cos(x)),
+        ScalarField.constant(g, 1.0),
+        ScalarField.constant(g, 1.0),
+        tol=tol,
+    )
+
+
+def test_newton_iteration_cap_raises_with_residual(monkeypatch):
+    p = _cosine_circle_problem()
+    start = _sandwich_starts(p)[0]
+    monkeypatch.setattr(heatflow, "_NEWTON_MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError) as err:
+        _newton_stationary(start, p, 1e-9)
+    assert err.value.residual is not None and err.value.residual > 1e-8
+    assert "after 1 iterations" in str(err.value)
+    assert "min_ratio=" in str(err.value)
+
+
+def test_newton_singular_factor_is_a_convergence_error(monkeypatch):
+    p = _cosine_circle_problem()
+    start = _sandwich_starts(p)[1]
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(heatflow, "spd_solver", singular)
+    with pytest.raises(ConvergenceError) as err:
+        _newton_stationary(start, p, 1e-9)
+    assert isinstance(err.value.__cause__, RuntimeError)
+    assert err.value.residual is not None
+
+
+def test_newton_far_start_is_not_certified():
+    # from 10*y1_plus*e0 Newton lands on a stationary solution below the
+    # sandwich; only the certification tells it from the attractor
+    p = _cosine_circle_problem()
+    far = 10.0 * p.profile_plus.y1 * p.e0.values
+    with pytest.raises(ConvergenceError) as err:
+        _newton_stationary(far, p, 1e-9)
+    assert err.value.residual is not None
+
+
+def test_start_field_clips_warm_start_into_sandwich():
+    p = _cosine_circle_problem()
+    y1m, y1p = p.profile_minus.y1, p.profile_plus.y1
+    e0 = p.e0.values
+    cold = param_sweep._start_field(p, None)
+    assert np.allclose(cold / e0, 0.5 * (y1m + y1p), rtol=1e-14)
+    wild = ScalarField(p.grid, np.where(np.arange(e0.size) % 2, 0.1, 10.0) * y1p * e0)
+    ratio = param_sweep._start_field(p, wild) / e0
+    assert np.all(ratio >= y1m * (1 - 1e-14)) and np.all(ratio <= y1p * (1 + 1e-14))
+
+
+def test_sweep_attractor_uses_newton_not_the_flow(monkeypatch):
+    g = make_torus_grid([(2 * np.pi, 32), (2 * np.pi, 32)])
+    fam = ParamFamily(
+        grid=g,
+        q_axes=(np.linspace(0.0, 0.2, 9),),
+        beta_of_q=lambda q: ScalarField.from_function(
+            g, lambda x, y: -0.1 + (0.02 + 0.1 * q) * np.cos(x)
+        ),
+        psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
+        psi2_of_q=lambda q: ScalarField.constant(g, 1.0),
+    )
+    factors = []
+    factor = heatflow.spd_solver
+
+    def counting(*args, **kwargs):
+        factors.append(1)
+        return factor(*args, **kwargs)
+
+    per_q = []
+    newton = param_sweep._newton_stationary
+
+    def recording(*args, **kwargs):
+        before = len(factors)
+        out = newton(*args, **kwargs)
+        per_q.append(len(factors) - before)
+        return out
+
+    monkeypatch.setattr(heatflow, "spd_solver", counting)
+    monkeypatch.setattr(heatflow, "evolve_to_attractor",
+                        _raise(AssertionError("the sweep marched the flow")))
+    monkeypatch.setattr(param_sweep, "_newton_stationary", recording)
+    sweep_attractor(fam, tol=1e-9)
+    assert len(per_q) == 9
+    assert max(per_q) <= 5
+    assert len(factors) == sum(per_q)
