@@ -4,7 +4,8 @@ Usage: ``groundflow CONFIG.json [--out DIR]``.  The config selects a
 subcommand and its inputs; fields are built from a small declarative
 catalog (constants, a + b*sin(kx), a + b*cos(kx), per-axis products) so
 runs stay reproducible.  Exit codes: 0 success, 2 config error,
-3 numerical failure (with the reason recorded in summary.json).
+3 numerical failure (with the reason, and the numbers the exception
+carries, recorded in summary.json).
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ from .param_sweep import (
 from .schrodinger import ground_state
 
 SCHEMA_VERSION = 1
+# numeric attributes of the package's exceptions, copied into failure summaries
+_ERROR_NUMBERS = (
+    "margin", "residual", "time", "min_ratio", "dt", "min_value",
+    "exit_time", "closed_form", "sampled",
+)
 
 _NUMBER = {"type": "number"}
 _QNUMBER = {
@@ -576,10 +582,12 @@ def run(config: dict, out_dir: Path) -> int:
     try:
         return _RUNNERS[sub](config, out_dir)
     except GroundflowError as exc:
-        _write_summary(out_dir, {
-            "subcommand": sub,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        })
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        for name in _ERROR_NUMBERS:
+            value = getattr(exc, name, None)
+            if value is not None:
+                error[name] = float(value)
+        _write_summary(out_dir, {"subcommand": sub, "error": error})
         return 3
 
 

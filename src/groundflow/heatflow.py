@@ -8,7 +8,8 @@ certification reports (attractor sandwich, exponential contraction,
 comparison principle) rely on.  A fixed point of the scheme solves the
 discrete stationary equation exactly, independent of dt.  Where only the
 attractor is needed (parameter sweeps), a private Newton routine solves
-that stationary equation directly and certifies its root in the sandwich.
+that stationary equation directly and certifies its root in the sandwich;
+it keeps one Jacobian factor across its iterations while they contract.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ _MAX_HALVINGS = 60
 _DOUBLE_EVERY = 50  # accepted steps between dt doublings
 _NEWTON_MAX_ITERATIONS = 50
 _NEWTON_STEP_RTOL = 1e-13  # Newton stops at a step this small relative to max|u|
+_CHORD_CONTRACTION = 0.25  # refactor when a step shrinks by less than this
 
 
 @dataclass(frozen=True)
@@ -453,12 +455,14 @@ def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> Sca
     basin, and the sandwich ``[y1_minus*e0, y1_plus*e0]`` lies in the
     basin, so a stationary solution certified inside the sandwich is the
     attractor.  Newton is not globally convergent: ``u0_values`` must lie
-    in the sandwich.  Each iteration factors the Jacobian
-    ``-L - beta + psi1/u**2 - 3*psi2/u**4`` (SPD at a stable attractor),
-    halves the step until the iterate stays positive, and stops once the
-    step is at most 1e-13 of max|u|.  The result is certified by
-    positivity, a stationary residual of at most ``10*tol`` (the flow's
-    bound) and the sandwich, widened only by the round-off band
+    in the sandwich.  The Jacobian ``-L - beta + psi1/u**2 - 3*psi2/u**4``
+    (SPD at a stable attractor) is factored at the start and kept across
+    iterations (the chord method); it is refactored at the current iterate
+    only when a step fails to shrink to at most 1/4 of the previous one.
+    Each step is halved until the iterate stays positive, and iteration
+    stops once the step is at most 1e-13 of max|u|.  The result is
+    certified by positivity, a stationary residual of at most ``10*tol``
+    (the flow's bound) and the sandwich, widened only by the round-off band
     ``1e-12*max(1, y1_plus)`` (for constant data the sandwich is a single
     ratio, which the computed u/e0 meets only to an ulp or so); any
     failure raises :class:`ConvergenceError` carrying the residual.
@@ -466,12 +470,17 @@ def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> Sca
     grid = p.grid
     beta, psi1, psi2 = p.beta.values, p.psi1.values, p.psi2.values
     u = np.asarray(u0_values, dtype=float)
+    solve = None
+    previous_step = np.inf
     for iteration in range(1, _NEWTON_MAX_ITERATIONS + 1):
         res = _residual_values(grid, u, beta, psi1, psi2)
-        try:
-            solve = spd_solver(grid, 1.0, psi1 / u**2 - 3.0 * psi2 / u**4 - beta)
-        except RuntimeError as exc:  # SuperLU: the factor is exactly singular
-            raise _newton_failure("hit a singular Jacobian", u, p, iteration) from exc
+        if solve is None:
+            try:
+                solve = spd_solver(grid, 1.0, psi1 / u**2 - 3.0 * psi2 / u**4 - beta)
+            except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+                raise _newton_failure(
+                    "hit a singular Jacobian", u, p, iteration
+                ) from exc
         delta = solve(res)  # J delta = res, so the Newton step is -delta
         if not np.all(np.isfinite(delta)):
             raise _newton_failure("produced a non-finite step", u, p, iteration)
@@ -484,8 +493,12 @@ def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> Sca
         else:
             raise _newton_failure("lost positivity", u, p, iteration)
         u = candidate
-        if scale * float(np.max(np.abs(delta))) <= _NEWTON_STEP_RTOL * float(u.max()):
+        step = scale * float(np.max(np.abs(delta)))
+        if step <= _NEWTON_STEP_RTOL * float(u.max()):
             break
+        if step > _CHORD_CONTRACTION * previous_step:
+            solve = None  # the kept factor has gone stale: refactor at u
+        previous_step = step
     else:
         raise _newton_failure("did not converge", u, p, iteration)
     u_star = ScalarField(grid, u)

@@ -7,6 +7,12 @@ quotients that converge at the expected rate under dyadic subsampling,
 and by bounded Lipschitz quotients of the fields.  The attractor at each
 q is found by Newton's method on the stationary equation, started inside
 the sandwich and certified there, rather than by marching the heat flow.
+Each q costs one factor of the shifted Schrodinger operator (inverse
+iteration shifted just below lambda0, then Lanczos for the gap on the same
+factor) and, as a rule, one Jacobian factor that Newton keeps across its
+iterations, refactoring only when its steps stop contracting.  Failures
+at a q are re-raised as :class:`ConvergenceError` naming the q and
+carrying the cause's residual.
 """
 
 from __future__ import annotations
@@ -149,7 +155,8 @@ def sweep_ground_state(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
             spectral = ground_state(family.grid, beta, tol=tol)
         except GroundflowError as exc:
             raise ConvergenceError(
-                f"ground state failed at q={q_tuple}: {exc}"
+                f"ground state failed at q={q_tuple}: {exc}",
+                residual=getattr(exc, "residual", None),
             ) from exc
         _check_gap(spectral.gap, q_tuple)
         lam.append(spectral.lambda0)
@@ -281,7 +288,8 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
             u_star = _newton_stationary(_start_field(p, previous), p, tol)
         except GroundflowError as exc:
             raise ConvergenceError(
-                f"attractor failed at q={q_tuple}: {exc}"
+                f"attractor failed at q={q_tuple}: {exc}",
+                residual=getattr(exc, "residual", None),
             ) from exc
         u_stars.append(u_star)
         previous = u_star

@@ -8,6 +8,15 @@ by inverse iteration on the shifted operator H - mu, which is positive
 definite for mu below -max(beta).  The next level lambda1 comes from
 Lanczos on (H - mu)^-1 with the ground state deflated, using the same
 factor of H - mu.
+
+The shift sits just below lambda0.  The Rayleigh quotient of a constant
+gives -max(beta) <= lambda0 <= -mean(beta), so mu = -max(beta) - delta
+with delta = max(max(beta) - mean(beta), 0.01) keeps H - mu positive
+definite with least eigenvalue at least delta, and lambda0 - mu is at
+most 2*delta unless the floor binds.  The floor covers constant beta,
+where lambda0 = -max(beta) exactly.  Inverse iteration contracts by
+(lambda0 - mu)/(lambda1 - mu) per step, so the close shift takes a half
+to a quarter of the iterations of the unit shift below -max(beta).
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ _MAX_ITERATIONS = 2000
 _RESIDUAL_FRACTION = 0.5e-10  # target residual relative to max(1, |lambda0|)
 _LANCZOS_STEPS = 300
 _LANCZOS_TOL = 1e-13  # Ritz residual bound relative to the Ritz value
+_SHIFT_FLOOR = 0.01  # least distance of the shift below -max(beta)
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,12 @@ def ground_state(grid: Grid, beta: ScalarField, tol: float = 1e-8) -> SpectralRe
 def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
     """Least eigenpair of -L - beta by shifted inverse iteration.
 
-    Iterates solves of (H - mu) w = v with renormalization until the
-    Rayleigh quotient stabilizes to ``tol`` and the eigen-residual drops
-    below 0.5e-10 * max(1, |lambda0|), or below the round-off in applying
-    L (machine epsilon times its norm bound sum_d 4/h_d^2) where that is
+    The shift is mu = -max(beta) - max(max(beta) - mean(beta), 0.01),
+    just below lambda0 (see the module docstring).  Iterates solves of
+    (H - mu) w = v with renormalization until the Rayleigh quotient
+    stabilizes to ``tol`` and the eigen-residual drops below
+    0.5e-10 * max(1, |lambda0|), or below the round-off in applying L
+    (machine epsilon times its norm bound sum_d 4/h_d^2) where that is
     larger, as on fine 1-d grids.  The sign is fixed so the mean is
     positive; strict pointwise positivity is then asserted.  Returns
     ``(lambda0, e0 values, iterations, residual, solve, mu)``, the last
@@ -97,7 +109,8 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     vol = grid.cell_volume
     b = beta.values
-    mu = shift_for_positivity(beta)
+    b_max = float(b.max())
+    mu = -b_max - max(b_max - float(b.mean()), _SHIFT_FLOOR)
     solve = spd_solver(grid, 1.0, -b - mu)
     round_off = np.finfo(float).eps * sum(4.0 / (h * h) for h in grid.spacings)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import groundflow
-from groundflow import cli, comparison
+from groundflow import cli, comparison, heatflow
 from groundflow.cli import _SCHEMAS, main, run
 from oracles import scalar_ode_reference
 
@@ -72,6 +72,21 @@ def test_ground_state_subcommand(tmp_path):
     assert len(lines) == 33
 
 
+def _run_in_fresh_interpreters(tmp_path, cfg, names=("fresh1", "fresh2")):
+    """Run ``cfg`` through the CLI once per name, each in a new interpreter."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(groundflow.__file__).parents[1]))
+    for name in names:
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from groundflow.cli import main; sys.exit(main(sys.argv[1:]))",
+             str(path), "--out", str(tmp_path / name)],
+            env=env, check=True, timeout=120,
+        )
+    return [tmp_path / name for name in names]
+
+
 def test_ground_state_gap_repeats_across_processes(tmp_path):
     # a square torus with a nearly degenerate lambda1: the gap must come out
     # bit-identical in fresh interpreters and in this one
@@ -86,22 +101,29 @@ def test_ground_state_gap_repeats_across_processes(tmp_path):
             ],
         },
     }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    env = dict(os.environ, PYTHONPATH=str(Path(groundflow.__file__).parents[1]))
-    outputs = []
-    for name in ("fresh1", "fresh2"):
-        subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from groundflow.cli import main; sys.exit(main(sys.argv[1:]))",
-             str(path), "--out", str(tmp_path / name)],
-            env=env, check=True, timeout=120,
-        )
-        outputs.append(tmp_path / name)
+    outputs = _run_in_fresh_interpreters(tmp_path, cfg)
     code, out_dir, summary = run_cli(tmp_path, cfg, out="in_process")
     assert code == 0 and summary["gap"] > 0.0
     outputs.append(out_dir)
     for name in ("summary.json", "e0.csv"):
+        assert len({(out / name).read_bytes() for out in outputs}) == 1
+
+
+def test_sweep_repeats_across_processes(tmp_path):
+    # the benchmark's sweep on a 32x32 torus: summary and CSV must come out
+    # byte-identical in two fresh interpreters
+    cfg = {
+        "subcommand": "sweep",
+        "grid": {"dims": [[TWO_PI, 32], [TWO_PI, 32]]},
+        "q": {"start": 0.0, "stop": 0.2, "count": 9},
+        "beta": {"form": "cos", "a": -0.1, "b": {"base": 0.02, "slope": 0.1}, "k": 1},
+        "psi1": {"const": 1.0},
+        "psi2": {"const": 1.0},
+        "tol": 1e-9,
+    }
+    outputs = _run_in_fresh_interpreters(tmp_path, cfg)
+    assert "error" not in json.loads((outputs[0] / "summary.json").read_text())
+    for name in ("summary.json", "sweep.csv"):
         assert len({(out / name).read_bytes() for out in outputs}) == 1
 
 
@@ -405,6 +427,55 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 3
     assert summary["error"]["type"] == "AdmissibilityError"
     assert "margin" in summary["error"]["message"]
+    # the number behind the failure, not only the message
+    margin = summary["error"]["margin"]
+    assert isinstance(margin, float) and margin <= 0.0
+    assert f"margin={margin!r}" in summary["error"]["message"]
+    assert set(summary["error"]) == {"type", "message", "margin"}
+
+
+def test_sweep_newton_failure_summary_carries_residual(tmp_path, monkeypatch):
+    monkeypatch.setattr(heatflow, "_NEWTON_MAX_ITERATIONS", 1)
+    cfg = {
+        "subcommand": "sweep",
+        "grid": {"dims": [[TWO_PI, 32]]},
+        "q": {"start": 0.0, "stop": 0.2, "count": 3},
+        "beta": {"form": "cos", "a": -0.05, "b": {"base": 0.04, "slope": 0.0}, "k": 1},
+        "psi1": {"const": 1.0},
+        "psi2": {"const": 1.0},
+        "tol": 1e-9,
+    }
+    code, out_dir, summary = run_cli(tmp_path, cfg)
+    assert code == 3
+    error = summary["error"]
+    assert error["type"] == "ConvergenceError"
+    assert "after 1 iterations" in error["message"]
+    assert isinstance(error["residual"], float) and error["residual"] > 1e-8
+    assert f"residual={error['residual']!r}" in error["message"]
+    assert set(error) == {"type", "message", "residual"}
+    assert not (out_dir / "sweep.csv").exists()
+
+
+def test_success_summary_bytes_are_pinned(tmp_path):
+    # failure summaries gained numeric fields; success summaries keep their bytes
+    code, out_dir, _ = run_cli(
+        tmp_path, {"subcommand": "roots", "lambda0": 0.1, "psi1": 1.0, "psi2": 1.0}
+    )
+    assert code == 0
+    assert (out_dir / "summary.json").read_text() == (
+        "{\n"
+        '  "admissible": true,\n'
+        '  "lambda0": 0.1,\n'
+        '  "margin": 0.6,\n'
+        '  "mu0": 0.1,\n'
+        '  "schema": 1,\n'
+        '  "subcommand": "roots",\n'
+        '  "y1": 2.978755335069904,\n'
+        '  "y2": 1.061610405842267,\n'
+        '  "y3": 1.5544125858650473,\n'
+        '  "y4": 2.449489742783178\n'
+        "}\n"
+    )
 
 
 def test_cross_check_failure_exit_code(tmp_path, monkeypatch):

@@ -237,3 +237,14 @@ def test_gap_spends_few_solves(monkeypatch):
     r = ground_state(g, beta)
     # one solve per inverse iteration; the rest went to the gap
     assert solves - r.iterations <= 40
+
+
+def test_shift_below_lambda0_needs_few_iterations():
+    # the shift sits within 2*(max(beta) - mean(beta)) of lambda0; the unit
+    # shift below -max(beta) took 30 iterations here
+    g = make_torus_grid([(TWO_PI, 32), (TWO_PI, 32)])
+    beta = ScalarField.from_function(g, lambda x, y: -0.1 + 0.03 * np.cos(x))
+    lam, _, iterations, _, _, mu = schrodinger._least_eigenpair(g, beta, 1e-8)
+    assert iterations <= 12
+    assert mu < spectrum_oracle(g, beta, 1)[0]
+    assert lam == pytest.approx(spectrum_oracle(g, beta, 1)[0], abs=1e-10)
