@@ -17,6 +17,7 @@ from groundflow import (
     step,
     trace_to_csv,
 )
+from groundflow import heatflow
 from groundflow.errors import BasinError
 
 U_STAR_FIG3 = 2.978755335069904  # largest root of 0.1 u^4 - u^2 + 1 = 0
@@ -243,6 +244,65 @@ def test_attractor_on_torus():
     assert trace.converged_at is not None
 
 
+def test_dt_limits_binding_terms():
+    # the reaction's time scale 0.1/lambda0; at u = 7 the monotone bound is
+    # 1/(1/49 - 3/7**4), about 52
+    p = constant_problem(n=64)
+    dt0, dt_max = heatflow._dt_limits(p, np.full(64, 7.0))
+    assert dt0 == 0.1 / p.lambda0
+    assert dt_max == 0.5 / p.lambda0
+
+    # dt_max through 0.9/max(beta), below 0.1/lambda0 (lambda0 about 0.047)
+    g = make_circle_grid(2 * np.pi, 64)
+    q = build_problem(
+        g,
+        ScalarField.from_function(g, lambda x: -2.7 + 4.0 * np.cos(x)),
+        ScalarField.constant(g, 1.0),
+        ScalarField.constant(g, 0.0),
+    )
+    dt0, dt_max = heatflow._dt_limits(q, np.full(64, 10.0))
+    assert dt_max == 0.9 / float(q.beta.values.max()) < 0.1 / q.lambda0
+    assert dt0 == dt_max
+
+    # the monotone bound 1/max(psi1/u**2 - 3*psi2/u**4): psi1 = 4, psi2 = 1
+    r = constant_problem(n=64, psi1=4.0)
+    lo, hi = np.full(64, 1.0), np.full(64, 1.5)
+    assert heatflow._dt_limits(r, lo)[0] == pytest.approx(1.0, rel=1e-15)
+    assert heatflow._dt_limits(r, hi)[0] == pytest.approx(1.0 / (4 / 1.5**2 - 3 / 1.5**4))
+    # between the two states the slope peaks at u = sqrt(1.5), at psi1**2/12 = 4/3
+    assert heatflow._dt_limits(r, hi, lo)[0] == pytest.approx(0.75, rel=1e-15)
+    assert heatflow._dt_limits(r, lo, hi)[0] == heatflow._dt_limits(r, hi, lo)[0]
+
+
+def test_attract_workload_step_count(monkeypatch):
+    # the benchmark's attract problem, where a start at h**2/4 takes 993
+    # steps with 20 distinct dt
+    g = make_circle_grid(2 * np.pi, 2048)
+    p = build_problem(
+        g,
+        ScalarField.constant(g, -0.1),
+        ScalarField.from_function(g, lambda x: 1.0 + 0.3 * np.sin(x)),
+        ScalarField.constant(g, 1.0),
+        tol=1e-9,
+    )
+    used = []
+    advance = heatflow._advance
+
+    def counting(stepper, values, dt):
+        out = advance(stepper, values, dt)
+        used.append(out[1])
+        return out
+
+    monkeypatch.setattr(heatflow, "_advance", counting)
+    u0 = ScalarField(g, 7.0 * p.e0.values)
+    u_star, trace = evolve_to_attractor(u0, p, tol=1e-9, keep_snapshots=False)
+    assert len(used) == len(trace.times) - 1 <= 120
+    assert len(set(used)) <= 5
+    eps = 0.5 * (p.profile_minus.y1 - p.profile_minus.y3)
+    assert certify_sandwich(u_star, p, tol_h=1e-5).passed
+    assert certify_exponential_bound(trace, p, eps).passed
+
+
 # ---------------------------------------------------------------- residual
 
 
@@ -405,6 +465,22 @@ def test_comparison_principle_two_sided():
     u0 = ScalarField(p.grid, (y1p + 1.0) * p.e0.values)
     rep = comparison_principle_test(u0, w0, p, T=150.0)
     assert rep.passed
+
+
+def test_comparison_principle_deep_in_basin():
+    # long 0.1/lambda0 against the reaction's time scale: a first step of
+    # min(0.1/lambda0, dt_max) crosses the pair (min gap -0.19)
+    g = make_circle_grid(2 * np.pi, 256)
+    p = build_problem(
+        g,
+        ScalarField.from_function(g, lambda x: -0.0305 + 0.0051 * np.cos(x + 3.144)),
+        ScalarField.from_function(g, lambda x: 1.7408 * (1.0 + 0.2163 * np.sin(x))),
+        ScalarField.constant(g, 0.0573),
+    )
+    w0 = ScalarField(g, 4.176 * p.e0.values)
+    u0 = ScalarField(g, 4.813 * p.e0.values)
+    rep = comparison_principle_test(u0, w0, p, T=30.61)
+    assert rep.passed, rep
 
 
 def test_comparison_principle_rejects_unordered():

@@ -1,8 +1,9 @@
 """Property tests on drawn potentials and problems.
 
 Ground states on small circles and tori are checked against the dense
-``spectrum_oracle``, and Newton's stationary solution against the heat
-flow's attractor.  Examples come from the derandomized profile loaded in
+``spectrum_oracle``, Newton's stationary solution against the heat flow's
+attractor, and the flow's ordering and certificates on random ordered
+pairs.  Examples come from the derandomized profile loaded in
 ``conftest.py``.
 """
 
@@ -17,6 +18,9 @@ from groundflow import (
     AdmissibilityError,
     ScalarField,
     build_problem,
+    certify_exponential_bound,
+    certify_sandwich,
+    comparison_principle_test,
     evolve_to_attractor,
     ground_state,
     make_circle_grid,
@@ -120,3 +124,62 @@ def test_newton_matches_flow_on_admissible_circles(
     flow, _ = evolve_to_attractor(ScalarField(g, mid), p, tol=tol, keep_snapshots=False)
     u = _newton_stationary(mid, p, tol)
     assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
+
+
+@st.composite
+def _ordered_pair_problem(draw):
+    """An admissible circle problem and fields lo <= hi in its basin.
+
+    Small decay rates and large psi1 make 0.1/lambda0 long against the
+    reaction's own time scale; the fields reach down towards y3, where the
+    explicit reaction map is steepest.
+    """
+    g = make_circle_grid(TWO_PI, draw(st.sampled_from([32, 64, 128])))
+    decay = draw(st.floats(0.02, 0.2))
+    wobble = draw(st.floats(0.0, 0.5))
+    phase = draw(st.floats(0.0, TWO_PI))
+    psi1_scale = draw(st.floats(0.5, 2.0))
+    psi1_wobble = draw(st.floats(0.0, 0.3))
+    psi2 = draw(st.floats(0.0, 0.5))
+    try:
+        p = build_problem(
+            g,
+            ScalarField.from_function(
+                g, lambda x: -decay * (1.0 + wobble * np.cos(x + phase))
+            ),
+            ScalarField.from_function(
+                g, lambda x: psi1_scale * (1.0 + psi1_wobble * np.sin(x))
+            ),
+            ScalarField.constant(g, psi2),
+        )
+    except AdmissibilityError:
+        assume(False)
+    y3 = p.profile_minus.y3 or 0.0
+    top = p.profile_plus.y1 + 1.0
+    x = g.coords()[0]
+
+    def ratio_field(floor):
+        # floor <= ratio <= top, a constant plus a sine bump
+        c = floor + draw(st.floats(0.0, 1.0)) * (top - floor)
+        a = draw(st.floats(0.0, 0.5)) * min(c - floor, top - c)
+        return c + a * np.sin(x + draw(st.floats(0.0, TWO_PI)))
+
+    lo_ratio = ratio_field(y3 + 0.02 * (p.profile_minus.y1 - y3))
+    hi_ratio = np.maximum(lo_ratio, ratio_field(y3 + 0.02 * (top - y3)))
+    e0 = p.e0.values
+    return p, ScalarField(g, lo_ratio * e0), ScalarField(g, hi_ratio * e0)
+
+
+@settings(max_examples=30)
+@given(_ordered_pair_problem())
+def test_flow_keeps_order_and_certifies_on_random_pairs(drawn):
+    p, lo, hi = drawn
+    rep = comparison_principle_test(hi, lo, p, T=30.0)
+    assert rep.passed, rep
+    y1m = p.profile_minus.y1
+    y3 = p.profile_minus.y3 or 0.0
+    # the shrunken basin's epsilon that admits lo (still below y1 - y3)
+    eps = max(y1m - float(np.min(p.ratio(lo))), 0.5 * (y1m - y3))
+    u_star, trace = evolve_to_attractor(lo, p, tol=1e-9, keep_snapshots=False)
+    assert certify_sandwich(u_star, p, tol_h=1e-6).passed
+    assert certify_exponential_bound(trace, p, eps).passed
