@@ -13,6 +13,13 @@ of a stencil factor with explicit zeros, which costs factor time and
 saves no solve time.  The Laplacian depends on the grid alone, so it is
 assembled once per grid and only scaled and shifted on the diagonal for
 each factor.
+
+The latest factor is kept in a one-slot memo keyed by the grid, the
+Laplacian coefficient and the bytes of the diagonal, so a caller asking
+again for the same operator gets the same solver back: the curvature
+warp's leaves share one factor whenever their potentials are equal.  The
+slot is emptied before a new factor is built, so callers that drop their
+old solver (the IMEX stepper on a dt change) still hold one factor only.
 """
 
 from __future__ import annotations
@@ -52,11 +59,27 @@ def _laplacian_sparse(grid: Grid):
     return lap
 
 
+_last = None  # (key, solve) of the latest factor
+
+
 def spd_solver(grid: Grid, lap_coeff: float, diag: np.ndarray):
     """Return a ``solve(b) -> x`` closure for the SPD operator above."""
+    global _last
     diag = np.asarray(diag, dtype=float)
+    key = (grid, lap_coeff, diag.tobytes())
+    if _last is not None and _last[0] == key:
+        return _last[1]
+    _last = None  # free the old factor before building the next
     # scaling copies the data, so the shared Laplacian is never written;
     # the stencil holds every diagonal cell, so setdiag adds no entries
     mat = _laplacian_sparse(grid) * -lap_coeff
     mat.setdiag(mat.diagonal() + diag)
-    return splu(mat, permc_spec="MMD_AT_PLUS_A", relax=1).solve
+    factor = splu(mat, permc_spec="MMD_AT_PLUS_A", relax=1)
+
+    # a plain function rather than the bound method, so the factor's
+    # lifetime can be followed by weak reference (SuperLU objects take none)
+    def solve(b):
+        return factor.solve(b)
+
+    _last = (key, solve)
+    return solve

@@ -162,9 +162,16 @@ def field_to_csv(field: ScalarField, path):
     # C order is the product of the axes, last axis fastest; each coordinate
     # is formatted once per axis, not once per row
     axis_reprs = [[repr(x) for x in c.tolist()] for c in grid.coords()]
+    # each distinct value is formatted once too; unique on the bit patterns
+    # keeps -0.0 apart from 0.0
+    bits, where = np.unique(
+        np.ascontiguousarray(field.values, dtype=float).view(np.int64),
+        return_inverse=True,
+    )
+    value_reprs = [repr(x) for x in bits.view(float).tolist()]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.writelines(
-            "%s,%r\n" % (",".join(point), val)
-            for point, val in zip(product(*axis_reprs), field.values.tolist())
+            "%s,%s\n" % (",".join(point), value_reprs[i])
+            for point, i in zip(product(*axis_reprs), where.tolist())
         )

@@ -161,6 +161,16 @@ def laplacian_values(grid: Grid, values: np.ndarray, axes=None) -> np.ndarray:
     return out.ravel()
 
 
+def laplacian_round_off(grid: Grid) -> float:
+    """Round-off of applying the stencil Laplacian, per unit norm of the field.
+
+    Machine epsilon times the operator's norm bound ``sum_d 4/h_d**2``.  On
+    fine grids it exceeds fixed residual targets: about 6e-9 on a
+    16384-point 2pi circle.
+    """
+    return float(np.finfo(float).eps * sum(4.0 / (h * h) for h in grid.spacings))
+
+
 def apply_laplacian(grid: Grid, f: ScalarField, axes=None) -> ScalarField:
     """Second-order periodic central-difference Laplacian of ``f``."""
     _check_same_grid(grid, f)

@@ -33,7 +33,13 @@ from .errors import (
     ConvergenceError,
     PositivityLossError,
 )
-from .grid import Grid, ScalarField, _check_same_grid, laplacian_values
+from .grid import (
+    Grid,
+    ScalarField,
+    _check_same_grid,
+    laplacian_round_off,
+    laplacian_values,
+)
 from .schrodinger import SpectralResult, ground_state
 
 _SLACK = 1e-12  # round-off band for basin and sandwich membership
@@ -42,6 +48,7 @@ _DOUBLE_EVERY = 50  # accepted steps between dt doublings
 _NEWTON_MAX_ITERATIONS = 50
 _NEWTON_STEP_RTOL = 1e-13  # Newton stops at a step this small relative to max|u|
 _CHORD_CONTRACTION = 0.25  # refactor when a step shrinks by less than this
+_ROUND_OFF_SAFETY = 4.0  # accepted residual over the round-off of applying L
 
 
 @dataclass(frozen=True)
@@ -315,7 +322,9 @@ def evolve_to_attractor(
     Convergence is declared when the increment rate ``max|u+ - u| / dt``
     falls below ``tol * min(1, mu0)`` (mu0 the certified contraction
     rate, so the state error is of order tol rather than tol/mu0) and
-    the stationary residual of the candidate is below ``10*tol``.  The
+    the stationary residual of the candidate is below ``10*tol``, or
+    below the round-off of applying L where that is larger (see
+    :func:`_residual_bound`).  The
     time step starts at the reaction's time scale (see :func:`_dt_limits`:
     the implicit half has no diffusion bound, and the first step preserves
     order), doubles every 50 accepted steps up to ``dt_max``, and halves
@@ -363,7 +372,10 @@ def evolve_to_attractor(
                 time=t,
                 min_ratio=float(np.min(candidate / e0)),
             )
-        converged = inc < inc_tol and _sup_residual(candidate, p) < 10.0 * tol
+        converged = (
+            inc < inc_tol
+            and _sup_residual(candidate, p) < _residual_bound(candidate, p, tol)
+        )
         if converged and accepted == 1:
             # stationary initial data: keep the single-entry trace
             u = candidate
@@ -445,6 +457,19 @@ def _sup_residual(u: np.ndarray, p: ProblemData) -> float:
     return float(np.max(np.abs(res)))
 
 
+def _residual_bound(u: np.ndarray, p: ProblemData, tol: float) -> float:
+    """Stationary residual accepted at ``tol``: the larger of ``10*tol`` and
+    ``_ROUND_OFF_SAFETY`` times the round-off of applying L to u.
+
+    On fine 1-d grids the round-off term binds: on a 16384-point 2pi
+    circle with max|u| near 3 the flow's iterates sit at 1.7-2.1e-8 and
+    Newton's root at 5.9e-9, against ``4 * 1.8e-8`` here and ``10*tol`` =
+    1e-8 at tol 1e-9; on a 2048-point circle it is about 1e-9.
+    """
+    round_off = laplacian_round_off(p.grid) * float(np.max(np.abs(u)))
+    return max(10.0 * tol, _ROUND_OFF_SAFETY * round_off)
+
+
 def stationary_residual(u: ScalarField, p: ProblemData) -> float:
     """Sup-norm stationary residual of u for the built problem."""
     return stationary_residual_fields(u, p.grid, p.beta, p.psi1, p.psi2)
@@ -482,8 +507,9 @@ def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> Sca
     only when a step fails to shrink to at most 1/4 of the previous one.
     Each step is halved until the iterate stays positive, and iteration
     stops once the step is at most 1e-13 of max|u|.  The result is
-    certified by positivity, a stationary residual of at most ``10*tol``
-    (the flow's bound) and the sandwich, widened only by the round-off band
+    certified by positivity, a stationary residual within the flow's
+    bound (``10*tol``, or the round-off floor of :func:`_residual_bound`)
+    and the sandwich, widened only by the round-off band
     ``1e-12*max(1, y1_plus)`` (for constant data the sandwich is a single
     ratio, which the computed u/e0 meets only to an ulp or so); any
     failure raises :class:`ConvergenceError` carrying the residual.
@@ -525,7 +551,8 @@ def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> Sca
     u_star = ScalarField(grid, u)
     residual = _sup_residual(u, p)
     slack = _SLACK * max(1.0, p.profile_plus.y1)
-    if residual > 10.0 * tol or not certify_sandwich(u_star, p, slack).passed:
+    bound = _residual_bound(u, p, tol)
+    if residual > bound or not certify_sandwich(u_star, p, slack).passed:
         raise _newton_failure("did not certify its root", u, p, iteration)
     return u_star
 

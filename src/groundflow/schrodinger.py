@@ -34,6 +34,7 @@ from .grid import (
     ScalarField,
     _check_same_grid,
     laplacian_matrix,
+    laplacian_round_off,
     laplacian_values,
 )
 
@@ -60,8 +61,19 @@ class SpectralResult:
 
 
 def shift_for_positivity(beta: ScalarField) -> float:
-    """A shift mu with H - mu positive definite: mu = -max(beta) - 1."""
-    return -float(beta.values.max()) - 1.0
+    """The shift mu of the inverse iteration, with H - mu positive definite.
+
+    mu = -max(beta) - delta, delta = max(max(beta) - mean(beta), 0.01),
+    just below lambda0 (see the module docstring).
+    """
+    b_max, delta = _shift_parts(beta.values)
+    return -b_max - delta
+
+
+def _shift_parts(b: np.ndarray):
+    """``(max(beta), delta)`` with the shift mu = -max(beta) - delta."""
+    b_max = float(b.max())
+    return b_max, max(b_max - float(b.mean()), _SHIFT_FLOOR)
 
 
 def _weighted_norm(values: np.ndarray, vol: float) -> float:
@@ -109,10 +121,17 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     vol = grid.cell_volume
     b = beta.values
-    b_max = float(b.max())
-    mu = -b_max - max(b_max - float(b.mean()), _SHIFT_FLOOR)
-    solve = spd_solver(grid, 1.0, -b - mu)
-    round_off = np.finfo(float).eps * sum(4.0 / (h * h) for h in grid.spacings)
+    b_max, delta = _shift_parts(b)
+    mu = -b_max - delta
+    if float(b.min()) == b_max:
+        # H - mu is -L + delta exactly; -b - mu would land within a few ulps
+        # of delta, differently for each constant, so the curvature warp's
+        # constant leaf potentials would not share one memoized factor
+        diag = np.full_like(b, delta)
+    else:
+        diag = -b - mu
+    solve = spd_solver(grid, 1.0, diag)
+    round_off = laplacian_round_off(grid)
 
     v = np.full(grid.total_points, 1.0)
     v /= _weighted_norm(v, vol)

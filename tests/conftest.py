@@ -1,8 +1,13 @@
-"""Shared pytest set-up: a fixed hypothesis profile for the property tests.
+"""Shared pytest set-up: a fixed hypothesis profile for the property tests,
+and a counter of sparse factors.
 
 The profile draws the same few examples on every run (``derandomize``) and
 keeps no example database, so the suite stays deterministic and quick.
 """
+
+import pytest
+
+from groundflow import _solve
 
 try:
     from hypothesis import settings
@@ -14,3 +19,18 @@ if settings is not None:
         "groundflow", derandomize=True, max_examples=20, deadline=None, database=None
     )
     settings.load_profile("groundflow")
+
+
+@pytest.fixture
+def factor_count(monkeypatch):
+    """List that grows by one per SuperLU factor built, from an empty memo."""
+    built = []
+    factor = _solve.splu
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(_solve, "splu", counting)
+    monkeypatch.setattr(_solve, "_last", None)
+    return built

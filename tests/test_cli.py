@@ -127,6 +127,22 @@ def test_sweep_repeats_across_processes(tmp_path):
         assert len({(out / name).read_bytes() for out in outputs}) == 1
 
 
+def test_warp_repeats_across_processes(tmp_path):
+    # the leaves share one memoized factor: summary and field CSV must come
+    # out byte-identical in two fresh interpreters
+    cfg = {
+        "subcommand": "curvature",
+        "mode": "warp",
+        "base_grid": {"dims": [[TWO_PI, 64]]},
+        "fiber_grid": {"dims": [[TWO_PI, 16]]},
+        "v": {"form": "cos", "a": 2.0, "b": 1.0, "k": 1, "axis": 1},
+    }
+    outputs = _run_in_fresh_interpreters(tmp_path, cfg)
+    assert "error" not in json.loads((outputs[0] / "summary.json").read_text())
+    for name in ("summary.json", "field.csv"):
+        assert len({(out / name).read_bytes() for out in outputs}) == 1
+
+
 def test_attract_subcommand(tmp_path):
     cfg = {
         "subcommand": "attract",

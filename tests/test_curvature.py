@@ -138,6 +138,21 @@ def test_warp_leaves_equal_ground_state_bitwise():
         assert leaf_smix[j] == tp.n * spectral.lambda0
 
 
+def test_warp_factors_once_per_distinct_leaf_operator(factor_count):
+    # a fiber-only v freezes a constant potential on every leaf, so every
+    # leaf operator is -L + 0.01 and one factor serves all 16 leaves
+    base, fiber, _, v = product_fields(32, 16, lambda x, y: 2.0 + np.cos(y))
+    ground_state_warp(TwistedProduct(base, fiber, v))
+    assert len(factor_count) == 1
+    # with v depending on both factors no two neighbouring leaves agree
+    factor_count.clear()
+    base, fiber, _, v = product_fields(
+        32, 16, lambda x, y: 2.0 + 0.5 * np.sin(x) * np.cos(y)
+    )
+    ground_state_warp(TwistedProduct(base, fiber, v))
+    assert len(factor_count) == 16
+
+
 def test_warp_two_dimensional_base():
     base = make_torus_grid([(2 * np.pi, 8), (2 * np.pi, 8)])
     fiber = make_circle_grid(2 * np.pi, 4)
@@ -261,6 +276,24 @@ def test_field_csv(tmp_path):
     assert lines[0] == "x0,x1,value"
     assert len(lines) == 17
     assert lines[1].split(",") == ["0.0", "0.0", "2.5"]
+
+
+def test_field_csv_matches_per_value_repr(tmp_path):
+    # formatting each distinct bit pattern once writes the same bytes as
+    # formatting every value, signed zeros and subnormals included
+    g = make_torus_grid([(2 * np.pi, 6), (1.3, 5)])
+    special = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 2.5, -0.0, 2.5, 1e-5, 0.0]
+    rest = np.random.RandomState(3).standard_normal(g.total_points - len(special))
+    f = ScalarField(g, np.concatenate([special, rest]))
+    path = tmp_path / "field.csv"
+    field_to_csv(f, path)
+    mesh = [m.ravel().tolist() for m in g.meshgrid()]
+    rows = ["x0,x1,value\n"] + [
+        "%r,%r,%r\n" % (x0, x1, val)
+        for x0, x1, val in zip(*mesh, f.values.tolist())
+    ]
+    assert path.read_bytes() == "".join(rows).encode()
+    assert "-0.0" in path.read_text()
 
 
 @pytest.mark.parametrize(

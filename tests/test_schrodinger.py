@@ -28,10 +28,19 @@ def _trig_beta(rng, grid):
 
 
 def test_shift_examples():
+    # -max(beta) - max(max(beta) - mean(beta), 0.01): the floor binds for
+    # constant beta, and cos has mean 0 to round-off
     g = make_circle_grid(2 * np.pi, 32)
-    assert shift_for_positivity(ScalarField.constant(g, 0.0)) == -1.0
-    assert shift_for_positivity(ScalarField.constant(g, 5.0)) == -6.0
+    assert shift_for_positivity(ScalarField.constant(g, 0.0)) == -0.01
+    assert shift_for_positivity(ScalarField.constant(g, 5.0)) == -5.01
     assert shift_for_positivity(ScalarField.from_function(g, np.cos)) == -2.0
+
+
+def test_shift_is_the_one_inverse_iteration_applies():
+    g = make_torus_grid([(TWO_PI, 16), (TWO_PI, 16)])
+    beta = ScalarField.from_function(g, lambda x, y: -0.1 + 0.03 * np.cos(x))
+    *_, mu = schrodinger._least_eigenpair(g, beta, 1e-8)
+    assert mu == shift_for_positivity(beta)
 
 
 def test_constant_potential_is_exact():

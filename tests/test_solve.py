@@ -1,11 +1,20 @@
 import time
+import weakref
 
 import numpy as np
 import pytest
 
-from groundflow import laplacian_matrix, make_circle_grid, make_torus_grid
+from groundflow import (
+    ScalarField,
+    build_problem,
+    laplacian_matrix,
+    make_circle_grid,
+    make_torus_grid,
+)
+from groundflow import _solve
 from groundflow._solve import _laplacian_sparse, spd_solver
 from groundflow.grid import MIN_POINTS, laplacian_values
+from groundflow.heatflow import _Stepper
 
 GRIDS = {
     "circle": make_circle_grid(2 * np.pi, 37),
@@ -72,3 +81,45 @@ def test_large_circle_backward_error(lap_coeff):
     )
     assert backward <= 1e-14
     assert elapsed < 2.0
+
+
+def test_equal_operator_reuses_the_last_factor(factor_count):
+    grid = make_torus_grid([(2 * np.pi, 6), (3.0, 5)])
+    diag = np.random.default_rng(5).uniform(0.5, 2.0, grid.total_points)
+    solve = spd_solver(grid, 1.0, diag)
+    assert spd_solver(grid, 1.0, diag.copy()) is solve
+    assert len(factor_count) == 1
+    # a diagonal one ulp apart is another operator: refactor
+    nudged = diag.copy()
+    nudged[7] = np.nextafter(nudged[7], np.inf)
+    assert spd_solver(grid, 1.0, nudged) is not solve
+    assert len(factor_count) == 2
+    # and the slot holds the latest factor only
+    spd_solver(grid, 1.0, diag)
+    assert len(factor_count) == 3
+
+
+def test_stepper_frees_the_old_factor_on_a_dt_change(monkeypatch):
+    g = make_circle_grid(2 * np.pi, 64)
+    p = build_problem(
+        g,
+        ScalarField.constant(g, -0.1),
+        ScalarField.constant(g, 1.0),
+        ScalarField.constant(g, 1.0),
+    )
+    stepper = _Stepper(p)
+    old = weakref.ref(stepper.solver(0.5))
+    assert stepper.solver(0.5) is old()
+    alive_at_build = []
+    factor = _solve.splu
+
+    def checking(*args, **kwargs):
+        alive_at_build.append(old() is not None)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(_solve, "splu", checking)
+    stepper.solver(1.0)
+    # neither the stepper nor the memo kept the old factor while the new
+    # one was built
+    assert alive_at_build == [False]
+    assert old() is None
