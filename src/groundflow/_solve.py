@@ -17,9 +17,11 @@ each factor.
 The latest factor is kept in a one-slot memo keyed by the grid, the
 Laplacian coefficient and the bytes of the diagonal, so a caller asking
 again for the same operator gets the same solver back: the curvature
-warp's leaves share one factor whenever their potentials are equal.  The
-slot is emptied before a new factor is built, so callers that drop their
-old solver (the IMEX stepper on a dt change) still hold one factor only.
+warp's leaves share one factor whenever their potentials are equal, and
+the IMEX steps of the heat flow, which ask for their factor on every step,
+get it back while dt is unchanged.  The slot is emptied before a new
+factor is built, so callers that drop their old solver (the IMEX step on
+a dt change) still hold one factor only.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .comparison import positive_equilibria
+from .comparison import _equilibrium_slopes
 from .errors import PhaseSpaceExitError
 
 SADDLE = "saddle"
@@ -170,8 +170,7 @@ def fixed_points_and_types(beta: float, psi1: float, psi2: float):
     if beta == 0.0 and psi1 == 0.0 and psi2 == 0.0:
         raise ValueError("degenerate system: beta = psi1 = psi2 = 0")
     result = []
-    for root in positive_equilibria(beta, psi1, psi2):
-        slope = beta - psi1 / root**2 + 3.0 * psi2 / root**4
+    for root, slope in _equilibrium_slopes(beta, psi1, psi2):
         if slope < 0.0:
             kind = SADDLE
         elif slope > 0.0:

@@ -368,6 +368,15 @@ def positive_equilibria(beta: float, psi1: float, psi2: float) -> list[float]:
     return [math.sqrt(2.0 * psi2 / (psi1 + s))]
 
 
+def _equilibrium_slopes(beta: float, psi1: float, psi2: float):
+    """``(root, slope)`` per positive equilibrium, descending, where slope is
+    the derivative ``beta - psi1/y**2 + 3*psi2/y**4`` of the force there."""
+    return [
+        (root, beta - psi1 / root**2 + 3.0 * psi2 / root**4)
+        for root in positive_equilibria(beta, psi1, psi2)
+    ]
+
+
 def classify_fixed_points(beta: float, psi1: float, psi2: float):
     """Stationary points of y' = beta*y + psi1/y - psi2/y^3 with stability.
 
@@ -379,8 +388,7 @@ def classify_fixed_points(beta: float, psi1: float, psi2: float):
     if psi2 < 0.0:
         raise ValueError(f"psi2 must be nonnegative, got {psi2}")
     result = []
-    for root in positive_equilibria(beta, psi1, psi2):
-        slope = beta - psi1 / root**2 + 3.0 * psi2 / root**4
+    for root, slope in _equilibrium_slopes(beta, psi1, psi2):
         if slope < 0.0:
             label = STABLE
         elif slope > 0.0:

@@ -15,6 +15,7 @@ it keeps one Jacobian factor across its iterations while they contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -91,7 +92,6 @@ class FlowTrace:
     sup_distances: np.ndarray
     min_ratios: np.ndarray
     max_ratios: np.ndarray
-    snapshots: list[ScalarField] | None
     converged_at: float | None
 
 
@@ -203,62 +203,37 @@ def _in_basin(values: np.ndarray, p: ProblemData) -> bool:
     return float(np.min(values / p.e0.values)) > y3m + slack
 
 
-class _Stepper:
-    """IMEX step holding the factor for the current dt only.
+def _imex_step(p: ProblemData, states: list[np.ndarray], dt: float):
+    """One IMEX step of at most dt for every state, all with the same dt.
 
-    Callers change dt in runs of many steps, so one slot is refactored
-    once per dt change and the stepper never holds more than one factor.
+    Halves dt until every new state is positive and finite and returns
+    ``(new_states, dt_used)``; raises :class:`PositivityLossError` when
+    halving maxes out.  The factor comes from :func:`spd_solver`, whose
+    one-slot memo returns the same solver while dt is unchanged and frees
+    the old factor before it builds one for a new dt.
     """
-
-    def __init__(self, p: ProblemData):
-        self.p = p
-        self._dt = None
-        self._solve = None
-        self._beta_max = float(p.beta.values.max())
-
-    def solver(self, dt: float):
-        if dt != self._dt:
-            self._solve = None  # free the old factor before building the next
-            self._solve = spd_solver(self.p.grid, dt, 1.0 - dt * self.p.beta.values)
-            self._dt = dt
-        return self._solve
-
-    def implicit_ok(self, dt: float) -> bool:
-        # keep I - dt*(L + beta) positive definite
-        return self._beta_max <= 0.0 or dt * self._beta_max < 1.0
-
-    def try_step(self, values: np.ndarray, dt: float):
-        """One IMEX step of exactly dt; returns None on positivity loss."""
-        if not self.implicit_ok(dt):
-            return None
-        nonlin = self.p.psi1.values / values - self.p.psi2.values / values**3
-        candidate = self.solver(dt)(values + dt * nonlin)
-        if candidate.min() <= 0.0 or not np.all(np.isfinite(candidate)):
-            return None
-        return candidate
-
-
-def _advance(stepper: _Stepper, values: np.ndarray, dt: float):
-    """One IMEX step of at most dt on raw values, halving on positivity loss.
-
-    Returns ``(candidate, dt_used)``; raises :class:`PositivityLossError`
-    when halving maxes out.  Shared by :func:`step` and the flow's loop.
-    """
+    beta = p.beta.values
+    beta_max = float(beta.max())
+    nonlins = [p.psi1.values / v - p.psi2.values / v**3 for v in states]
     attempt = dt
     for _ in range(_MAX_HALVINGS):
-        candidate = stepper.try_step(values, attempt)
-        if candidate is not None:
-            return candidate, attempt
+        # keep I - dt*(L + beta) positive definite
+        if beta_max <= 0.0 or attempt * beta_max < 1.0:
+            solve = spd_solver(p.grid, attempt, 1.0 - attempt * beta)
+            new = [solve(v + attempt * n) for v, n in zip(states, nonlins)]
+            del solve  # a halved dt must not build its factor while this one lives
+            if all(c.min() > 0.0 and np.all(np.isfinite(c)) for c in new):
+                return new, attempt
         attempt *= 0.5
     raise PositivityLossError(
         "positivity lost after maximal dt halving; "
         "initial data looks outside the basin",
         dt=attempt,
-        min_value=float(values.min()),
+        min_value=min(float(v.min()) for v in states),
     )
 
 
-def step(u: ScalarField, p: ProblemData, dt: float, stepper: _Stepper | None = None):
+def step(u: ScalarField, p: ProblemData, dt: float):
     """One IMEX step, halving dt on positivity loss.
 
     Returns ``(u_new, dt_used)``; ``dt_used < dt`` means the requested
@@ -273,9 +248,7 @@ def step(u: ScalarField, p: ProblemData, dt: float, stepper: _Stepper | None = N
         raise ValueError("dt must be nonnegative")
     if dt == 0.0:
         return u, 0.0
-    if stepper is None:
-        stepper = _Stepper(p)
-    candidate, dt_used = _advance(stepper, u.values, dt)
+    (candidate,), dt_used = _imex_step(p, [u.values], dt)
     return ScalarField(p.grid, candidate), dt_used
 
 
@@ -302,7 +275,10 @@ def _dt_limits(p: ProblemData, *states: np.ndarray):
     psi1, psi2 = p.psi1.values, p.psi2.values
     lo = np.minimum.reduce(states)
     hi = np.maximum.reduce(states)
-    peak = np.divide(psi1, 6.0 * psi2, out=np.full_like(psi1, np.inf), where=psi2 > 0.0)
+    # divide only where the peak may lie below the ceiling 1/lo**2 (under twice
+    # it): elsewhere the clip discards it, and a subnormal psi2 would overflow
+    below = 12.0 * psi2 > psi1 * lo**2
+    peak = np.divide(psi1, 6.0 * psi2, out=np.full_like(psi1, np.inf), where=below)
     s = np.clip(peak, 1.0 / hi**2, 1.0 / lo**2)
     g_max = float(np.max(psi1 * s - 3.0 * psi2 * s * s))
     if g_max > 0.0:
@@ -310,12 +286,35 @@ def _dt_limits(p: ProblemData, *states: np.ndarray):
     return dt0, dt_max
 
 
+def _march(p: ProblemData, states: list[np.ndarray], t_end: float):
+    """Adaptive IMEX steps of ``states``, all with the same dt, up to ``t_end``.
+
+    Yields ``(t, states, dt_used)`` after each step.  dt starts at
+    :func:`_dt_limits` over the states, each step is clipped to end at
+    ``t_end``, a halved dt stays halved, and dt doubles every 50 accepted
+    steps up to ``dt_max``.  The steps are deterministic: a second march
+    from the same states yields the same states bit for bit.
+    """
+    dt, dt_max = _dt_limits(p, *states)
+    t = 0.0
+    accepted = 0
+    while t < t_end:
+        attempt = min(dt, t_end - t)
+        states, dt_used = _imex_step(p, states, attempt)
+        if dt_used < attempt:
+            dt = dt_used
+        t += dt_used
+        accepted += 1
+        yield t, states, dt_used
+        if accepted % _DOUBLE_EVERY == 0:
+            dt = min(2.0 * dt, dt_max)
+
+
 def evolve_to_attractor(
     u0: ScalarField,
     p: ProblemData,
     tol: float = 1e-8,
     t_max: float = 5000.0,
-    keep_snapshots: bool = True,
 ):
     """March the flow until the step increment certifies stationarity.
 
@@ -327,11 +326,14 @@ def evolve_to_attractor(
     :func:`_residual_bound`).  The
     time step starts at the reaction's time scale (see :func:`_dt_limits`:
     the implicit half has no diffusion bound, and the first step preserves
-    order), doubles every 50 accepted steps up to ``dt_max``, and halves
-    on positivity rejection.
+    order), doubles every 50 accepted steps up to ``dt_max``, halves
+    on positivity rejection, and the last step is clipped to end at
+    ``t_max``.
 
     Returns ``(u_star, trace)``; sup-norm distances in the trace are
-    measured against the returned attractor.
+    measured against the returned attractor.  The states are not kept:
+    once the attractor is known the march is replayed from ``u0`` to
+    measure them, so memory stays O(N) whatever the step count.
     """
     _check_same_grid(p.grid, u0)
     if not 0.0 < tol <= 1e-4:
@@ -345,27 +347,17 @@ def evolve_to_attractor(
             min_ratio=float(np.min(p.ratio(u0))),
         )
 
-    stepper = _Stepper(p)
-    dt, dt_max = _dt_limits(p, u0.values)
-    t = 0.0
-    accepted = 0
-    u = u0.values.copy()
+    u = u0.values
     e0 = p.e0.values
     inc_tol = tol * min(1.0, decay_rate_mu(0.0, p.profile_minus))
 
     times = [0.0]
-    snaps = [u.copy()]
     min_ratios = [float(np.min(u / e0))]
     max_ratios = [float(np.max(u / e0))]
     converged_at = None
 
-    while t < t_max:
-        candidate, dt_used = _advance(stepper, u, dt)
-        if dt_used < dt:
-            dt = dt_used
+    for accepted, (t, (candidate,), dt_used) in enumerate(_march(p, [u], t_max), 1):
         inc = float(np.max(np.abs(candidate - u))) / dt_used
-        t += dt_used
-        accepted += 1
         if not _in_basin(candidate, p):
             raise BasinError(
                 "flow left the basin mid-flight",
@@ -376,51 +368,48 @@ def evolve_to_attractor(
             inc < inc_tol
             and _sup_residual(candidate, p) < _residual_bound(candidate, p, tol)
         )
+        u = candidate
         if converged and accepted == 1:
             # stationary initial data: keep the single-entry trace
-            u = candidate
             converged_at = 0.0
             break
         times.append(t)
-        snaps.append(candidate.copy())
         min_ratios.append(float(np.min(candidate / e0)))
         max_ratios.append(float(np.max(candidate / e0)))
-        u = candidate
         if converged:
             converged_at = t
             break
-        if accepted % _DOUBLE_EVERY == 0:
-            dt = min(2.0 * dt, dt_max)
     else:
         raise ConvergenceError(
             f"no attractor within t_max={t_max} (last increment rate above tol)"
         )
 
-    u_star = ScalarField(p.grid, u)
-    sup = np.array([float(np.max(np.abs(s - u))) for s in snaps])
+    # replay the same steps from u0 to measure the recorded states against u
+    sup = [float(np.max(np.abs(u0.values - u)))]
+    for _, (s,), _ in islice(_march(p, [u0.values], t_max), len(times) - 1):
+        sup.append(float(np.max(np.abs(s - u))))
     trace = FlowTrace(
         times=np.asarray(times),
-        sup_distances=sup,
+        sup_distances=np.asarray(sup),
         min_ratios=np.asarray(min_ratios),
         max_ratios=np.asarray(max_ratios),
-        snapshots=[ScalarField(p.grid, s) for s in snaps] if keep_snapshots else None,
         converged_at=converged_at,
     )
-    return u_star, trace
+    return ScalarField(p.grid, u), trace
 
 
 def evolve_fixed(u0: ScalarField, p: ProblemData, n_steps: int, dt: float):
     """Exactly ``n_steps`` IMEX steps of fixed size dt (no adaptivity).
 
     Used for semigroup checks: composing runs over the same dt grid
-    reproduces a single longer run bit for bit.
+    reproduces a single longer run bit for bit.  Raises
+    :class:`PositivityLossError` when a step would need a shorter dt.
     """
     _check_same_grid(p.grid, u0)
-    stepper = _Stepper(p)
     u = u0.values
     for _ in range(n_steps):
-        candidate = stepper.try_step(u, dt)
-        if candidate is None:
+        (candidate,), dt_used = _imex_step(p, [u], dt)
+        if dt_used != dt:
             raise PositivityLossError(
                 "fixed-dt step lost positivity", dt=dt, min_value=float(u.min())
             )
@@ -615,32 +604,9 @@ def comparison_principle_test(
                 "initial data outside the open basin", time=0.0,
                 min_ratio=float(np.min(p.ratio(f))),
             )
-    stepper = _Stepper(p)
-    dt, dt_max = _dt_limits(p, u0.values, w0.values)
-    t = 0.0
-    accepted = 0
-    u = u0.values.copy()
-    w = w0.values.copy()
-    min_gap = float(np.min(u - w))
-    while t < T:
-        attempt = min(dt, T - t)
-        for _ in range(_MAX_HALVINGS):
-            cu = stepper.try_step(u, attempt)
-            cw = stepper.try_step(w, attempt)
-            if cu is not None and cw is not None:
-                break
-            attempt *= 0.5
-            dt = attempt
-        else:
-            raise PositivityLossError(
-                "paired step lost positivity after maximal halving", dt=attempt
-            )
-        u, w = cu, cw
-        t += attempt
-        accepted += 1
+    min_gap = float(np.min(u0.values - w0.values))
+    for _, (u, w), _ in _march(p, [u0.values, w0.values], T):
         min_gap = min(min_gap, float(np.min(u - w)))
-        if accepted % _DOUBLE_EVERY == 0:
-            dt = min(2.0 * dt, dt_max)
     return OrderingReport(min_gap=min_gap, passed=min_gap >= -1e-10)
 
 

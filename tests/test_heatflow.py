@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -274,33 +277,78 @@ def test_dt_limits_binding_terms():
     assert heatflow._dt_limits(r, lo, hi)[0] == heatflow._dt_limits(r, hi, lo)[0]
 
 
+def test_dt_limits_with_subnormal_psi2():
+    # psi1/(6*psi2) overflows for a subnormal psi2; the peak is clipped to
+    # 1/lo**2 there, so the start is 1/g(u) = u**2 at u = 0.5
+    p = constant_problem(n=16, beta=-0.125, psi2=5e-324, tol=1e-9)
+    mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1) * p.e0.values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert heatflow._dt_limits(p, np.full(16, 0.5))[0] == 0.25
+        u_star, _ = evolve_to_attractor(ScalarField(p.grid, mid), p, tol=1e-9)
+    assert stationary_residual(u_star, p) < 1e-8
+
+
 def test_attract_workload_step_count(monkeypatch):
     # the benchmark's attract problem, where a start at h**2/4 takes 993
     # steps with 20 distinct dt
-    g = make_circle_grid(2 * np.pi, 2048)
-    p = build_problem(
-        g,
-        ScalarField.constant(g, -0.1),
-        ScalarField.from_function(g, lambda x: 1.0 + 0.3 * np.sin(x)),
-        ScalarField.constant(g, 1.0),
-        tol=1e-9,
-    )
-    used = []
-    advance = heatflow._advance
+    p = sine_problem(n=2048, tol=1e-9)
+    passes = []
+    march = heatflow._march
 
-    def counting(stepper, values, dt):
-        out = advance(stepper, values, dt)
-        used.append(out[1])
-        return out
+    def recording(*args):
+        used = []
+        passes.append(used)
+        for out in march(*args):
+            used.append(out[2])
+            yield out
 
-    monkeypatch.setattr(heatflow, "_advance", counting)
-    u0 = ScalarField(g, 7.0 * p.e0.values)
-    u_star, trace = evolve_to_attractor(u0, p, tol=1e-9, keep_snapshots=False)
+    monkeypatch.setattr(heatflow, "_march", recording)
+    u0 = ScalarField(p.grid, 7.0 * p.e0.values)
+    u_star, trace = evolve_to_attractor(u0, p, tol=1e-9)
+    # the first pass finds the attractor; the replay repeats its steps
+    used, replayed = passes
     assert len(used) == len(trace.times) - 1 <= 120
     assert len(set(used)) <= 5
+    assert replayed == used
     eps = 0.5 * (p.profile_minus.y1 - p.profile_minus.y3)
     assert certify_sandwich(u_star, p, tol_h=1e-5).passed
     assert certify_exponential_bound(trace, p, eps).passed
+
+
+def test_attractor_memory_flat_in_step_count():
+    # kept states would add one state per step: 91 and 115 states at peak
+    p = sine_problem(n=2048, tol=1e-9)
+    state_bytes = p.e0.values.nbytes
+    peaks, steps = [], []
+    for ratio in (7.0, 100.0):
+        u0 = ScalarField(p.grid, ratio * p.e0.values)
+        tracemalloc.start()
+        try:
+            _, trace = evolve_to_attractor(u0, p, tol=1e-9)
+            peaks.append(tracemalloc.get_traced_memory()[1] / state_bytes)
+        finally:
+            tracemalloc.stop()
+        steps.append(len(trace.times) - 1)
+    assert steps[1] >= steps[0] + 15
+    assert peaks[1] <= peaks[0] + 2.0
+    assert max(peaks) < 40.0
+
+
+def test_replayed_distances_match_one_march():
+    p = sine_problem(n=64)
+    u0 = ScalarField(p.grid, 7.0 * p.e0.values)
+    u_star, trace = evolve_to_attractor(u0, p, tol=1e-9, t_max=400.0)
+    times, dists, u = [0.0], [float(np.max(np.abs(u0.values - u_star.values)))], None
+    for t, (u,), _ in heatflow._march(p, [u0.values], 400.0):
+        times.append(t)
+        dists.append(float(np.max(np.abs(u - u_star.values))))
+        if t == trace.times[-1]:
+            break
+    assert np.array_equal(u, u_star.values)
+    assert np.array_equal(np.asarray(times), trace.times)
+    assert np.array_equal(np.asarray(dists), trace.sup_distances)
+    assert trace.sup_distances[-1] == 0.0
 
 
 # ---------------------------------------------------------------- residual
@@ -412,7 +460,6 @@ def test_exponential_bound_vacuous_at_stationarity():
         sup_distances=zeros,
         min_ratios=zeros,
         max_ratios=zeros,
-        snapshots=None,
         converged_at=0.0,
     )
     rep = certify_exponential_bound(trace, p, eps)

@@ -287,9 +287,7 @@ def _sandwich_starts(p):
 
 def _assert_newton_matches_flow(p, tol):
     starts = _sandwich_starts(p)
-    flow, _ = evolve_to_attractor(
-        ScalarField(p.grid, starts[1]), p, tol=tol, keep_snapshots=False
-    )
+    flow, _ = evolve_to_attractor(ScalarField(p.grid, starts[1]), p, tol=tol)
     for start in starts:
         u = _newton_stationary(start, p, tol)
         assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
@@ -334,9 +332,7 @@ def test_newton_on_16384_point_circle():
     mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1)
     u = _newton_stationary(mid * p.e0.values, p, tol)
     assert stationary_residual(u, p) <= 10.0 * tol
-    flow, _ = evolve_to_attractor(
-        ScalarField(g, mid * p.e0.values), p, tol=tol, keep_snapshots=False
-    )
+    flow, _ = evolve_to_attractor(ScalarField(g, mid * p.e0.values), p, tol=tol)
     assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
 
 

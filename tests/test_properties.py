@@ -121,7 +121,7 @@ def test_newton_matches_flow_on_admissible_circles(
     except AdmissibilityError:
         assume(False)
     mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1) * p.e0.values
-    flow, _ = evolve_to_attractor(ScalarField(g, mid), p, tol=tol, keep_snapshots=False)
+    flow, _ = evolve_to_attractor(ScalarField(g, mid), p, tol=tol)
     u = _newton_stationary(mid, p, tol)
     assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
 
@@ -180,6 +180,6 @@ def test_flow_keeps_order_and_certifies_on_random_pairs(drawn):
     y3 = p.profile_minus.y3 or 0.0
     # the shrunken basin's epsilon that admits lo (still below y1 - y3)
     eps = max(y1m - float(np.min(p.ratio(lo))), 0.5 * (y1m - y3))
-    u_star, trace = evolve_to_attractor(lo, p, tol=1e-9, keep_snapshots=False)
+    u_star, trace = evolve_to_attractor(lo, p, tol=1e-9)
     assert certify_sandwich(u_star, p, tol_h=1e-6).passed
     assert certify_exponential_bound(trace, p, eps).passed

@@ -11,10 +11,10 @@ from groundflow import (
     make_circle_grid,
     make_torus_grid,
 )
-from groundflow import _solve
+from groundflow import _solve, heatflow
 from groundflow._solve import _laplacian_sparse, spd_solver
 from groundflow.grid import MIN_POINTS, laplacian_values
-from groundflow.heatflow import _Stepper
+from groundflow.heatflow import _imex_step
 
 GRIDS = {
     "circle": make_circle_grid(2 * np.pi, 37),
@@ -107,19 +107,32 @@ def test_stepper_frees_the_old_factor_on_a_dt_change(monkeypatch):
         ScalarField.constant(g, 1.0),
         ScalarField.constant(g, 1.0),
     )
-    stepper = _Stepper(p)
-    old = weakref.ref(stepper.solver(0.5))
-    assert stepper.solver(0.5) is old()
+    solvers = []  # weak references to every solver the IMEX step asked for
     alive_at_build = []
-    factor = _solve.splu
+    get_solver, factor = heatflow.spd_solver, _solve.splu
+
+    def recording(*args):
+        solve = get_solver(*args)
+        solvers.append(weakref.ref(solve))
+        return solve
 
     def checking(*args, **kwargs):
-        alive_at_build.append(old() is not None)
+        alive_at_build.append(sum(ref() is not None for ref in solvers))
         return factor(*args, **kwargs)
 
+    monkeypatch.setattr(heatflow, "spd_solver", recording)
     monkeypatch.setattr(_solve, "splu", checking)
-    stepper.solver(1.0)
-    # neither the stepper nor the memo kept the old factor while the new
-    # one was built
-    assert alive_at_build == [False]
-    assert old() is None
+    monkeypatch.setattr(_solve, "_last", None)
+    u = np.full(64, 2.0)
+    _imex_step(p, [u], 0.5)
+    _imex_step(p, [u], 0.5)
+    assert solvers[1]() is solvers[0]() is not None  # an unchanged dt reuses it
+    _imex_step(p, [u], 1.0)
+    # at u = 0.5 the reaction drives the state negative for dt > 1/12, so
+    # the step halves from 1 to 1/16, building a factor for each halved dt
+    (_,), dt_used = _imex_step(p, [np.full(64, 0.5)], 1.0)
+    assert dt_used == 0.0625
+    # neither the step nor the memo kept an old factor while a new one was
+    # built, and only the memo holds the latest
+    assert alive_at_build == [0] * 6
+    assert sum(ref() is not None for ref in solvers) == 1
