@@ -42,7 +42,6 @@ from .errors import (
     BasinError,
     BlowdownError,
     ConvergenceError,
-    CrossCheckError,
     GroundflowError,
     PhaseSpaceExitError,
     PositivityLossError,

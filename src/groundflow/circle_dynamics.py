@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
+from ._table import write_csv
 from .comparison import _equilibrium_slopes
 from .errors import PhaseSpaceExitError
 
@@ -242,29 +242,18 @@ def periodicity_class(beta: float) -> str:
 
 def orbit_to_csv(orbit: OrbitResult, path):
     """Write the orbit as ``t,u,v,H`` rows."""
-    with open(path, "w") as fh:
-        fh.write("t,u,v,H\n")
-        for t, u, v, e in zip(orbit.times, orbit.us, orbit.vs, orbit.energies):
-            fh.write(f"{float(t)!r},{float(u)!r},{float(v)!r},{float(e)!r}\n")
+    write_csv(path, "t,u,v,H", [orbit.times, orbit.us, orbit.vs, orbit.energies])
 
 
 def portrait_to_csv(
     beta: float, psi1: float, psi2: float, u_values, v_values, path
 ):
     """Write an H(u, v) grid as ``u,v,H`` rows for contour plotting."""
-    u_values = np.asarray(u_values, dtype=float)
-    v_values = np.asarray(v_values, dtype=float)
+    u_values = np.asarray(u_values, dtype=float).ravel()
+    v_values = np.asarray(v_values, dtype=float).ravel()
     if np.any(u_values <= 0.0):
         raise ValueError("portrait u samples must be positive")
     uu, vv = np.meshgrid(u_values, v_values, indexing="ij")
     energy = hamiltonian_uv(uu, vv, beta, psi1, psi2)
-    # rows run u-major, as the ij mesh ravels; each u and v is formatted once
-    points = product(
-        map(repr, u_values.ravel().tolist()), map(repr, v_values.ravel().tolist())
-    )
-    with open(path, "w") as fh:
-        fh.write("u,v,H\n")
-        fh.writelines(
-            "%s,%s,%r\n" % (u, v, h)
-            for (u, v), h in zip(points, energy.ravel().tolist())
-        )
+    # rows run u-major, as the ij mesh ravels
+    write_csv(path, "u,v,H", [energy.ravel()], axes=(u_values, v_values))

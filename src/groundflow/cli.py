@@ -51,7 +51,7 @@ SCHEMA_VERSION = 1
 # numeric attributes of the package's exceptions, copied into failure summaries
 _ERROR_NUMBERS = (
     "margin", "residual", "time", "min_ratio", "dt", "min_value",
-    "exit_time", "closed_form", "sampled",
+    "exit_time",
 )
 
 _NUMBER = {"type": "number"}

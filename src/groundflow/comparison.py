@@ -5,8 +5,8 @@ between two profiles ``phi(y) = -lambda0*y + A/y - B/y**3`` whose
 coefficients are grid extrema of ``psi1*e0**-2`` and ``psi2*e0**-4``.
 Everything quantitative downstream (attractor location, basin geometry,
 exponential decay rate) reduces to root and slope data of these profiles,
-so this module keeps the closed forms in cancellation-stable shape and
-cross-checks them against brute-force alternatives.
+so this module keeps the closed forms in cancellation-stable shape; the
+tests pin them against brute-force oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, BlowdownError, CrossCheckError
+from .errors import AdmissibilityError, BlowdownError
 from .grid import ScalarField
 
 #: discriminant threshold (relative to A^2) below which closed-form roots
@@ -213,8 +213,8 @@ def decay_rate_mu(sigma: float, profile: PhiProfile) -> float:
     """Exponential decay rate min{|phi'(y1 - sigma)|, lambda0}.
 
     Valid for 0 <= sigma < y1 - y3 (the derivative stays negative on the
-    shrunken basin).  The closed form is cross-checked by maximizing the
-    derivative on a log-spaced sample of [y1 - sigma, infinity-proxy].
+    shrunken basin).  The tests pin this closed form against the sampled
+    supremum of the derivative over [y1 - sigma, infinity).
     """
     y1 = profile.y1
     y3 = profile.y3 if profile.y3 is not None else 0.0
@@ -222,20 +222,7 @@ def decay_rate_mu(sigma: float, profile: PhiProfile) -> float:
         raise ValueError(
             f"sigma must lie in [0, y1 - y3) = [0, {y1 - y3!r}), got {sigma}"
         )
-    left = y1 - sigma
-    mu = min(abs(phi_prime(left, profile)), profile.lambda0)
-    upper = 10.0 * (profile.y4 if profile.y4 is not None else max(y1, 1.0))
-    sample = np.geomspace(left, max(upper, 2.0 * left), 10_000)
-    # the sup of phi' includes its horizontal asymptote -lambda0 at infinity
-    sup_sampled = max(float(np.max(phi_prime(sample, profile))), -profile.lambda0)
-    if abs(-sup_sampled - mu) > 1e-7 * max(mu, 1e-30):
-        raise CrossCheckError(
-            f"decay-rate cross-check failed: closed form {mu!r}, "
-            f"sampled {-sup_sampled!r}",
-            closed_form=mu,
-            sampled=-sup_sampled,
-        )
-    return mu
+    return min(abs(phi_prime(y1 - sigma, profile)), profile.lambda0)
 
 
 #: (stage offset, weight) of RK4 stages 2-4; stage 1 has weight 1

@@ -12,10 +12,10 @@ every leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
+from ._table import write_csv
 from .grid import Grid, ScalarField, laplacian_values, make_torus_grid
 from .schrodinger import _least_eigenpair
 
@@ -159,19 +159,5 @@ def field_to_csv(field: ScalarField, path):
     """One row per grid point: coordinates then the value."""
     grid = field.grid
     header = ",".join(f"x{d}" for d in range(grid.ndim)) + ",value"
-    # C order is the product of the axes, last axis fastest; each coordinate
-    # is formatted once per axis, not once per row
-    axis_reprs = [[repr(x) for x in c.tolist()] for c in grid.coords()]
-    # each distinct value is formatted once too; unique on the bit patterns
-    # keeps -0.0 apart from 0.0
-    bits, where = np.unique(
-        np.ascontiguousarray(field.values, dtype=float).view(np.int64),
-        return_inverse=True,
-    )
-    value_reprs = [repr(x) for x in bits.view(float).tolist()]
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(
-            "%s,%s\n" % (",".join(point), value_reprs[i])
-            for point, i in zip(product(*axis_reprs), where.tolist())
-        )
+    # the values are stored in C order, the order of the product of the axes
+    write_csv(path, header, [field.values], axes=grid.coords())

@@ -60,15 +60,3 @@ class PhaseSpaceExitError(GroundflowError):
     def __init__(self, message, exit_time):
         super().__init__(f"{message} (exit_time={exit_time!r})")
         self.exit_time = exit_time
-
-
-class CrossCheckError(GroundflowError):
-    """A closed-form value disagrees with its independent sampled check.
-
-    ``closed_form`` and ``sampled`` are the two values compared.
-    """
-
-    def __init__(self, message, closed_form, sampled):
-        super().__init__(message)
-        self.closed_form = closed_form
-        self.sampled = sampled

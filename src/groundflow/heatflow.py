@@ -20,6 +20,7 @@ from itertools import islice
 import numpy as np
 
 from ._solve import spd_solver
+from ._table import write_csv
 from .comparison import (
     ExtremaCoeffs,
     PhiProfile,
@@ -191,13 +192,15 @@ def initial_condition_check(
         min_ratio=min_ratio,
         epsilon=epsilon,
         in_basin_eps=min_ratio >= y1m - epsilon - slack,
-        in_basin=min_ratio > y3m + slack,
+        in_basin=_in_basin(u0.values, p),
         y1_minus=y1m,
         y3_minus=y3m,
     )
 
 
 def _in_basin(values: np.ndarray, p: ProblemData) -> bool:
+    """``min(u/e0) > y3_minus`` past a round-off band: the one basin rule
+    behind the flow's gate and the public membership report."""
     y3m = p.profile_minus.y3 if p.profile_minus.y3 is not None else 0.0
     slack = _SLACK * max(1.0, abs(y3m))
     return float(np.min(values / p.e0.values)) > y3m + slack
@@ -612,9 +615,5 @@ def comparison_principle_test(
 
 def trace_to_csv(trace: FlowTrace, path):
     """Write the trace as ``t,sup_distance,min_ratio,max_ratio`` rows."""
-    with open(path, "w") as fh:
-        fh.write("t,sup_distance,min_ratio,max_ratio\n")
-        for t, d, lo, hi in zip(
-            trace.times, trace.sup_distances, trace.min_ratios, trace.max_ratios
-        ):
-            fh.write(f"{float(t)!r},{float(d)!r},{float(lo)!r},{float(hi)!r}\n")
+    columns = [trace.times, trace.sup_distances, trace.min_ratios, trace.max_ratios]
+    write_csv(path, "t,sup_distance,min_ratio,max_ratio", columns)

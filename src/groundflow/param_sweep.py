@@ -22,6 +22,7 @@ from itertools import product
 
 import numpy as np
 
+from ._table import write_csv
 from .errors import AdmissibilityError, ConvergenceError, GroundflowError
 from .grid import Grid, ScalarField
 from .heatflow import ProblemData, _newton_stationary, build_problem
@@ -329,14 +330,7 @@ def sweep_to_csv(result: SweepResult, path):
         raise ValueError("sweep has no attractor data; run sweep_attractor")
     m = result.family.m
     header = ("q1,q2" if m == 2 else "q1") + ",lambda0,gap,min_ratio,max_ratio"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i, q_tuple in enumerate(result.q_points):
-            ratios = result.u_star[i].values / result.e0[i].values
-            cols = [repr(float(q)) for q in q_tuple] + [
-                repr(float(result.lambda0[i])),
-                repr(float(result.gap[i])),
-                repr(float(ratios.min())),
-                repr(float(ratios.max())),
-            ]
-            fh.write(",".join(cols) + "\n")
+    ratios = np.array([u.values / e.values for u, e in zip(result.u_star, result.e0)])
+    q_columns = np.asarray(result.q_points, dtype=float).T
+    write_csv(path, header, [*q_columns, result.lambda0, result.gap,
+                             ratios.min(axis=1), ratios.max(axis=1)])

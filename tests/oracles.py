@@ -39,6 +39,20 @@ def quartic_positive_roots(lam, A, B, lo=1e-9, hi=1e6, n=200_000):
     return deduped
 
 
+def sampled_decay_rate(sigma, profile, n=10_000):
+    """-sup of phi'(y) = -lambda0 - A/y^2 + 3B/y^4 over y >= y1 - sigma.
+
+    The derivative is sampled on a log grid of [y1 - sigma, 10*y4]
+    (10*max(y1, 1) when B = 0), and its asymptote -lambda0 at infinity
+    is taken in.
+    """
+    lam, A, B = profile.lambda0, profile.A, profile.B
+    left = profile.y1 - sigma
+    upper = 10.0 * (profile.y4 if profile.y4 is not None else max(profile.y1, 1.0))
+    ys = np.geomspace(left, max(upper, 2.0 * left), n)
+    return -max(float(np.max(-lam - A / ys**2 + 3.0 * B / ys**4)), -lam)
+
+
 def scalar_ode_reference(lam, A, B, y0, t_eval):
     """High-accuracy solution of y' = -lam*y + A/y - B/y^3."""
     sol = solve_ivp(

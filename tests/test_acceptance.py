@@ -39,7 +39,7 @@ from groundflow import (
     PlanarState,
     TwistedProduct,
 )
-from oracles import quartic_positive_roots
+from oracles import quartic_positive_roots, sampled_decay_rate
 
 
 def report(num, detail):
@@ -111,6 +111,7 @@ def test_criterion_01_reference_profile_roots():
     assert abs(profile.y4 - y4o) <= 1e-12 * abs(y4o)
     mu0 = decay_rate_mu(0.0, profile)
     assert mu0 == lam  # min form picks the asymptotic slope exactly
+    assert abs(sampled_decay_rate(0.0, profile) - mu0) <= 1e-7 * mu0
     elapsed = time.time() - t0
     assert elapsed < 1.0
     report(1, f"roots vs oracle to 1e-12, mu(0) == 0.1, {elapsed:.2f}s")
@@ -122,6 +123,7 @@ def test_criterion_02_scalar_contraction_bound():
     y1, y3 = profile.y1, profile.y3
     eps = 0.5 * (y1 - y3)
     mu = decay_rate_mu(eps, profile)
+    assert abs(sampled_decay_rate(eps, profile) - mu) <= 1e-7 * mu
     y0 = np.linspace(y3 + 1e-3, y1 + 2.0, 50)
     traj = scalar_flow(y0, profile, T=80.0, dt=0.01, record_every=10)
     below = y0 < y1

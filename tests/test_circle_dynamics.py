@@ -19,7 +19,6 @@ from groundflow.circle_dynamics import (
     PERIODIC_UNIQUE_CONSTANT,
     hamiltonian_uv,
     orbit_to_csv,
-    portrait_to_csv,
 )
 from groundflow.errors import PhaseSpaceExitError
 
@@ -218,22 +217,6 @@ def test_orbit_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,u,v,H"
     assert len(lines) == len(orbit.times) + 1
-
-
-def test_portrait_csv_matches_pointwise_hamiltonian(tmp_path):
-    u_values = np.linspace(0.2, 3.0, 13)
-    v_values = np.linspace(-2.0, 2.0, 7)
-    params = (-1.0, 1.0, 0.1)
-    path = tmp_path / "portrait.csv"
-    portrait_to_csv(*params, u_values, v_values, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "u,v,H"
-    expected = [
-        (u, v, hamiltonian_uv(u, v, *params)) for u in u_values for v in v_values
-    ]
-    assert len(lines) == len(expected) + 1
-    for line, point in zip(lines[1:], expected):
-        assert line.split(",") == [repr(float(x)) for x in point]
 
 
 # ---------------------------------------------------------------- closed forms

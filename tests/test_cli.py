@@ -494,20 +494,6 @@ def test_success_summary_bytes_are_pinned(tmp_path):
     )
 
 
-def test_cross_check_failure_exit_code(tmp_path, monkeypatch):
-    exact = comparison.phi_prime
-    monkeypatch.setattr(
-        comparison, "phi_prime",
-        lambda y, p: exact(y, p) * (0.5 if np.ndim(y) else 1.0),
-    )
-    code, _, summary = run_cli(
-        tmp_path, {"subcommand": "roots", "lambda0": 0.1, "psi1": 1.0, "psi2": 1.0}
-    )
-    assert code == 3
-    assert summary["error"]["type"] == "CrossCheckError"
-    assert "decay-rate cross-check failed" in summary["error"]["message"]
-
-
 @pytest.mark.parametrize("sub", sorted(_SCHEMAS))
 def test_schemas_are_valid(sub):
     schema = _SCHEMAS[sub]

@@ -4,7 +4,6 @@ import pytest
 from groundflow import (
     AdmissibilityError,
     BlowdownError,
-    CrossCheckError,
     ExtremaCoeffs,
     ScalarField,
     check_admissible,
@@ -21,9 +20,7 @@ from groundflow import (
     profile_from_coeffs,
     scalar_flow,
 )
-from groundflow import comparison
-
-from oracles import quartic_positive_roots, scalar_ode_reference
+from oracles import quartic_positive_roots, sampled_decay_rate, scalar_ode_reference
 
 # frozen from the bracketed-bisection quartic oracle at lambda0=0.1, A=B=1
 Y1_REF = 2.978755335069904
@@ -34,6 +31,13 @@ PHI_PRIME_Y1_REF = -0.17459666924148337
 
 def fig3_profile():
     return make_profile(0.1, 1.0, 1.0)
+
+
+def decay_rate(sigma, profile):
+    """decay_rate_mu, pinned against the sampled oracle to 1e-7."""
+    mu = decay_rate_mu(sigma, profile)
+    assert abs(sampled_decay_rate(sigma, profile) - mu) <= 1e-7 * max(mu, 1e-30)
+    return mu
 
 
 # ---------------------------------------------------------------- extrema
@@ -164,6 +168,8 @@ def test_profile_ordering_random():
         p = make_profile(lam, A, B)
         assert 0.0 < p.y2 < p.y3 < p.y1
         assert p.y3 < p.y4
+        for sigma in (0.0, 0.5 * (p.y1 - p.y3)):
+            decay_rate(sigma, p)
 
 
 def test_side_profiles_and_monotonicity():
@@ -178,6 +184,8 @@ def test_side_profiles_and_monotonicity():
     ys = np.geomspace(0.05, 50.0, 4000)
     assert np.all(phi(ys, minus) <= phi(ys, plus) + 1e-14)
     assert minus.y1 <= plus.y1
+    for side in (minus, plus):
+        decay_rate(0.0, side)
     with pytest.raises(ValueError):
         profile_from_coeffs(lam, coeffs, "upper")
 
@@ -202,14 +210,14 @@ def test_phi_minus_shape():
 def test_decay_rate_fig3():
     p = fig3_profile()
     assert abs(phi_prime(p.y1, p) - PHI_PRIME_Y1_REF) < 1e-12
-    assert decay_rate_mu(0.0, p) == 0.1
+    assert decay_rate(0.0, p) == 0.1
 
 
 def test_decay_rate_decreases_to_zero():
     p = fig3_profile()
     width = p.y1 - p.y3
     sigmas = np.linspace(0.0, width * (1 - 1e-6), 40)
-    mus = [decay_rate_mu(s, p) for s in sigmas]
+    mus = [decay_rate(s, p) for s in sigmas]
     assert all(m > 0.0 for m in mus)
     assert all(a >= b - 1e-12 for a, b in zip(mus, mus[1:]))
     assert mus[-1] < 1e-4
@@ -218,23 +226,7 @@ def test_decay_rate_decreases_to_zero():
 def test_decay_rate_monotone_case():
     p = make_profile(1.0, 4.0, 0.0)
     assert abs(phi_prime(2.0, p) - (-2.0)) < 1e-15
-    assert decay_rate_mu(0.0, p) == 1.0
-
-
-def test_decay_rate_cross_check_failure_is_typed(monkeypatch):
-    p = fig3_profile()
-    exact = comparison.phi_prime
-
-    def skewed(y, profile):
-        # the closed form reads scalars; only the sampled check sees the skew
-        return exact(y, profile) * (0.5 if np.ndim(y) else 1.0)
-
-    monkeypatch.setattr(comparison, "phi_prime", skewed)
-    with pytest.raises(CrossCheckError) as err:
-        decay_rate_mu(0.0, p)
-    assert str(err.value).startswith("decay-rate cross-check failed: closed form")
-    assert err.value.closed_form == 0.1
-    assert abs(err.value.sampled - err.value.closed_form) > 1e-7 * 0.1
+    assert decay_rate(0.0, p) == 1.0
 
 
 def test_decay_rate_sigma_range():
@@ -285,7 +277,7 @@ def test_flow_decreasing_from_above_with_bound():
     y0 = p.y1 + 0.5
     traj = scalar_flow(y0, p, T=120.0, record_every=10)
     assert np.all(np.diff(traj.values) < 1e-13)
-    mu = decay_rate_mu(0.0, p)
+    mu = decay_rate(0.0, p)
     bound = abs(y0 - p.y1) * np.exp(-mu * traj.times)
     assert np.all(np.abs(traj.values - p.y1) <= bound * (1.0 + 1e-9) + 1e-14)
 
@@ -309,7 +301,7 @@ def test_flow_batch_monotone_convergence():
     # random starts above y2 all reach y1 by T = 50/mu(0)
     rng = np.random.RandomState(14)
     p = fig3_profile()
-    mu = decay_rate_mu(0.0, p)
+    mu = decay_rate(0.0, p)
     y0 = rng.uniform(p.y2 + 1e-3, p.y1 + 3.0, size=200)
     traj = scalar_flow(y0, p, T=50.0 / mu, dt=0.01, record_every=200)
     assert np.max(np.abs(traj.terminal - p.y1)) < 1e-6
@@ -374,7 +366,7 @@ def test_flow_underflowing_start_collapses_without_arithmetic_error(y0):
 def test_flow_contraction_bound_on_shrunken_basin():
     p = fig3_profile()
     eps = 0.5 * (p.y1 - p.y3)
-    mu = decay_rate_mu(eps, p)
+    mu = decay_rate(eps, p)
     rng = np.random.RandomState(15)
     y0 = rng.uniform(p.y1 - eps, p.y1 + 2.0, size=50)
     traj = scalar_flow(y0, p, T=80.0, dt=0.01, record_every=25)

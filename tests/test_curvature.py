@@ -278,24 +278,6 @@ def test_field_csv(tmp_path):
     assert lines[1].split(",") == ["0.0", "0.0", "2.5"]
 
 
-def test_field_csv_matches_per_value_repr(tmp_path):
-    # formatting each distinct bit pattern once writes the same bytes as
-    # formatting every value, signed zeros and subnormals included
-    g = make_torus_grid([(2 * np.pi, 6), (1.3, 5)])
-    special = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 2.5, -0.0, 2.5, 1e-5, 0.0]
-    rest = np.random.RandomState(3).standard_normal(g.total_points - len(special))
-    f = ScalarField(g, np.concatenate([special, rest]))
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    mesh = [m.ravel().tolist() for m in g.meshgrid()]
-    rows = ["x0,x1,value\n"] + [
-        "%r,%r,%r\n" % (x0, x1, val)
-        for x0, x1, val in zip(*mesh, f.values.tolist())
-    ]
-    assert path.read_bytes() == "".join(rows).encode()
-    assert "-0.0" in path.read_text()
-
-
 @pytest.mark.parametrize(
     "dims",
     [

@@ -111,6 +111,26 @@ def test_membership_examples():
         initial_condition_check(at_y1, p, y1 - y3)
 
 
+def test_membership_report_uses_the_flow_gate():
+    # the report once tested min(u0/e0) > y3 + 1e-12*max(1, |y3|, |y1|)
+    # while the flow's gate drops |y1|; just above y3 they disagreed
+    g = make_circle_grid(2 * np.pi, 64)
+    p = build_problem(
+        g,
+        ScalarField.from_function(g, lambda x: -0.05 + 0.04 * np.cos(x)),
+        ScalarField.constant(g, 1.0),
+        ScalarField.constant(g, 1.0),
+    )
+    y1, y3 = p.profile_minus.y1, p.profile_minus.y3
+    assert y1 == pytest.approx(10.46, abs=0.01)
+    assert y3 == pytest.approx(4.52, abs=0.01)
+    eps = 0.5 * (y1 - y3)
+    for offset, inside in ((7.5e-12, True), (2e-12, False)):
+        u0 = ScalarField(g, (y3 + offset) * p.e0.values)
+        assert heatflow._in_basin(u0.values, p) is inside
+        assert initial_condition_check(u0, p, eps).in_basin is inside
+
+
 # ---------------------------------------------------------------- stepping
 
 

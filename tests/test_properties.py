@@ -2,8 +2,9 @@
 
 Ground states on small circles and tori are checked against the dense
 ``spectrum_oracle``, Newton's stationary solution against the heat flow's
-attractor, and the flow's ordering and certificates on random ordered
-pairs.  Examples come from the derandomized profile loaded in
+attractor, the flow's ordering, order cap and certificates on random
+ordered pairs, and the decay rate's closed form against its sampled
+oracle.  Examples come from the derandomized profile loaded in
 ``conftest.py``.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groundflow import (
@@ -21,14 +22,18 @@ from groundflow import (
     certify_exponential_bound,
     certify_sandwich,
     comparison_principle_test,
+    decay_rate_mu,
     evolve_to_attractor,
     ground_state,
     make_circle_grid,
+    make_profile,
     make_torus_grid,
     schrodinger,
     spectrum_oracle,
 )
-from groundflow.heatflow import _newton_stationary
+from groundflow.heatflow import _march, _newton_stationary
+
+from oracles import sampled_decay_rate
 
 TWO_PI = 2 * np.pi
 _amplitude = st.floats(-1.0, 1.0)
@@ -183,3 +188,46 @@ def test_flow_keeps_order_and_certifies_on_random_pairs(drawn):
     u_star, trace = evolve_to_attractor(lo, p, tol=1e-9)
     assert certify_sandwich(u_star, p, tol_h=1e-6).passed
     assert certify_exponential_bound(trace, p, eps).passed
+
+
+def _reaction_slope_max(p, states):
+    """max of g(u) = psi1/u**2 - 3*psi2/u**4 over the pointwise hull of the
+    states: g is the concave psi1*s - 3*psi2*s**2 in s = 1/u**2, so the max
+    is at an end of [1/hi**2, 1/lo**2] or at the peak psi1/(6*psi2)."""
+    psi1, psi2 = p.psi1.values, p.psi2.values
+    s_lo = 1.0 / np.maximum.reduce(states) ** 2
+    s_hi = 1.0 / np.minimum.reduce(states) ** 2
+    ends = np.maximum(psi1 * s_lo - 3.0 * psi2 * s_lo**2,
+                      psi1 * s_hi - 3.0 * psi2 * s_hi**2)
+    at_peak = (6.0 * psi2 * s_lo <= psi1) & (psi1 <= 6.0 * psi2 * s_hi)
+    peak = np.divide(psi1**2, 12.0 * psi2, out=np.full_like(psi1, -np.inf),
+                     where=at_peak)
+    return float(np.max(np.maximum(ends, peak)))
+
+
+@settings(max_examples=30)
+@given(_ordered_pair_problem())
+def test_every_flow_step_keeps_the_order_cap(drawn):
+    # the explicit reaction map preserves order while dt*max g <= 1; the
+    # schedule caps the first step so, and must not break it by doubling
+    p, lo, hi = drawn
+    states = [hi.values, lo.values]
+    for _, after, dt_used in _march(p, states, 30.0):
+        assert dt_used * _reaction_slope_max(p, states) <= 1.0 + 1e-12
+        states = after
+
+
+@given(
+    lam=st.floats(0.02, 1.5),
+    A=st.floats(0.2, 5.0),
+    # B as a share of the admissibility bound A^2/(4 lambda0); 0 is the
+    # monotone profile without y3 and y4
+    share=st.one_of(st.just(0.0), st.floats(0.05, 0.9)),
+    depth=st.floats(0.0, 0.999),
+)
+@example(lam=0.1, A=1.0, share=0.0, depth=0.5)
+def test_decay_rate_matches_sampled_sup(lam, A, share, depth):
+    p = make_profile(lam, A, share * A * A / (4.0 * lam))
+    sigma = depth * (p.y1 - (p.y3 or 0.0))
+    mu = decay_rate_mu(sigma, p)
+    assert abs(sampled_decay_rate(sigma, p) - mu) <= 1e-7 * max(mu, 1e-30)
