@@ -1,13 +1,15 @@
 """The one CSV writer behind every table the package writes.
 
-Every float is written with ``repr``, so a file reads back bit for bit.
-Rows are written in blocks of ``BLOCK_ROWS``, so the text held does not
-grow with the table.  In each block, a column whose values repeat has
-each distinct bit pattern formatted once (``np.unique`` on the int64 view
-keeps -0.0 apart from 0.0); a column without repeats is formatted value
-by value, which skips the sort and the gather.  Grid coordinates are
-formatted once per axis point, and the rows run over the product of the
-axes in C order, last axis fastest.
+Every float is written as its shortest round-trip text, the text
+``repr`` gives, so a file reads back bit for bit.  ``orjson`` formats a
+whole block of a column in one call; its text equals ``repr`` except in
+notation outside ``1e-4 <= |x| < 1e16`` (it writes ``0.00001`` and
+``1e16`` where ``repr`` writes ``1e-05`` and ``1e+16``) and for
+non-finite values (``null``), and only those entries are formatted again
+with ``repr``.  Rows are written in blocks of ``BLOCK_ROWS``, so the text
+held does not grow with the table.  Grid coordinates are formatted once
+per axis point, and the rows run over the product of the axes in C
+order, last axis fastest.
 """
 
 from __future__ import annotations
@@ -15,22 +17,24 @@ from __future__ import annotations
 from itertools import islice, product
 
 import numpy as np
+import orjson
 
 BLOCK_ROWS = 4096
 
 
 def _format(values: np.ndarray) -> list[str]:
-    """``repr`` of each float in ``values``; with repeats, each bit pattern
-    is formatted once."""
+    """``repr`` of each float in ``values``."""
     values = np.ascontiguousarray(values, dtype=float)
-    floats = values.tolist()
-    # a set is the cheapest test for repeats on short columns; it merges -0.0
-    # and 0.0, which only sends such a column down the exact path below
-    if len(set(floats)) == len(floats):
-        return list(map(repr, floats))
-    bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    return text[where].tolist()
+    if not values.size:
+        return []
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    text = text.decode().split(",")
+    size = np.abs(values)
+    # inf fails the upper bound and nan both, so non-finite values are patched
+    same = ((size >= 1e-4) & (size < 1e16)) | (values == 0.0)
+    for i in np.flatnonzero(~same).tolist():
+        text[i] = repr(float(values[i]))
+    return text
 
 
 def write_csv(path, header: str, columns, axes=()):

@@ -3,9 +3,10 @@
 Ground states on small circles and tori are checked against the dense
 ``spectrum_oracle``, Newton's stationary solution against the heat flow's
 attractor, the flow's ordering, order cap and certificates on random
-ordered pairs, and the decay rate's closed form against its sampled
-oracle.  Examples come from the derandomized profile loaded in
-``conftest.py``.
+ordered pairs, the decay rate's closed form against its sampled
+oracle, the profile's landmark order at marginal discriminants, and the
+CSV block formatter against ``repr`` on drawn float64 bit patterns.
+Examples come from the derandomized profile loaded in ``conftest.py``.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from groundflow import (
     schrodinger,
     spectrum_oracle,
 )
+from groundflow._table import _format
 from groundflow.heatflow import _march, _newton_stationary
 
 from oracles import sampled_decay_rate
@@ -231,3 +233,24 @@ def test_decay_rate_matches_sampled_sup(lam, A, share, depth):
     sigma = depth * (p.y1 - (p.y3 or 0.0))
     mu = decay_rate_mu(sigma, p)
     assert abs(sampled_decay_rate(sigma, p) - mu) <= 1e-7 * max(mu, 1e-30)
+
+
+@given(
+    lam=st.floats(0.02, 1.5),
+    A=st.floats(0.2, 5.0),
+    # the margin A^2 - 4 lambda0 B as a share of A^2, from a few ulps up
+    log_share=st.floats(-15.0, -2.0),
+)
+@example(lam=0.7, A=3.0, log_share=-15.0)
+def test_profile_landmarks_ordered_at_marginal_discriminants(lam, A, log_share):
+    B = A * A * (1.0 - 10.0**log_share) / (4.0 * lam)
+    assume(A * A - 4.0 * lam * B >= 1e-15 * A * A)
+    p = make_profile(lam, A, B)
+    assert 0.0 < p.y2 < p.y3 < p.y1
+    assert p.y3 < p.y4
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=64))
+def test_csv_format_matches_repr_on_drawn_bits(bits):
+    x = np.array(bits, dtype=np.uint64).view(float)
+    assert _format(x) == list(map(repr, x.tolist()))

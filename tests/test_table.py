@@ -1,9 +1,11 @@
 """Every CSV writer against a naive writer that formats each value with %r.
 
-The package writes all its tables through one writer, which formats each
-distinct bit pattern of a column's block once when the column repeats
-values, every value otherwise, and each grid coordinate once per axis
-point; these tests pin its bytes to the per-value format on both paths.
+The package writes all its tables through one writer, which formats a
+column's block in one ``orjson`` call, patches with ``repr`` the entries
+whose notation differs, and formats each grid coordinate once per axis
+point.  These tests pin its bytes to the per-value format, whole files
+and the block formatter alone, on drawn bit patterns and on the edges of
+the patched ranges.
 """
 
 import tracemalloc
@@ -25,7 +27,7 @@ from groundflow import (
     sweep_to_csv,
     trace_to_csv,
 )
-from groundflow._table import BLOCK_ROWS
+from groundflow._table import BLOCK_ROWS, _format
 from groundflow.circle_dynamics import hamiltonian_uv, orbit_to_csv, portrait_to_csv
 
 SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 2.5, -0.0, 2.5, 1e-5, 0.0]
@@ -139,3 +141,19 @@ def test_orbit_csv_memory_flat_in_rows(tmp_path):
             tracemalloc.stop()
     assert len(orbit.times) == 100_001
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+
+def _edges():
+    """The patched ranges' edges with both neighbours, signed zeros, the
+    smallest subnormals and the non-finite values."""
+    values = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+    for edge in (1e-4, -1e-4, 1e16, -1e16):
+        values += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2 * edge)]
+    return values
+
+
+@pytest.mark.parametrize("values", [[], [2.5], [1e-5], _edges()],
+                         ids=["empty", "one", "one-patched", "edges"])
+def test_format_matches_repr(values):
+    x = np.array(values, dtype=float)
+    assert _format(x) == list(map(repr, x.tolist()))
