@@ -54,57 +54,60 @@ _ERROR_NUMBERS = (
     "exit_time",
 )
 
+
+def _object(required, **properties):
+    """Schema of a JSON object with exactly the given properties."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": list(required),
+        "properties": properties,
+    }
+
+
+def _command(name, required, **properties):
+    """Schema of one subcommand's config: its name first, ``out`` last."""
+    return _object(
+        ["subcommand", *required],
+        subcommand={"const": name},
+        **properties,
+        out={"type": "string"},
+    )
+
+
 _NUMBER = {"type": "number"}
 _QNUMBER = {
     "oneOf": [
         {"type": "number"},
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["base", "slope"],
-            "properties": {"base": {"type": "number"}, "slope": {"type": "number"}},
-        },
+        _object(["base", "slope"], base={"type": "number"}, slope={"type": "number"}),
     ]
 }
 
 
 def _field_schema(scalar):
-    one_axis = {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["form", "a", "b", "k"],
-        "properties": {
-            "form": {"enum": ["sin", "cos"]},
-            "a": scalar,
-            "b": scalar,
-            "k": {"type": "integer", "minimum": 0},
-            "axis": {"type": "integer", "minimum": 0},
-        },
-    }
-    const = {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["const"],
-        "properties": {"const": scalar},
-    }
+    one_axis = _object(
+        ["form", "a", "b", "k"],
+        form={"enum": ["sin", "cos"]},
+        a=scalar,
+        b=scalar,
+        k={"type": "integer", "minimum": 0},
+        axis={"type": "integer", "minimum": 0},
+    )
+    const = _object(["const"], const=scalar)
     return {
         "oneOf": [
             const,
             one_axis,
-            {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["form", "factors"],
-                "properties": {
-                    "form": {"const": "product"},
-                    "factors": {
-                        "type": "array",
-                        "minItems": 1,
-                        "maxItems": 3,
-                        "items": {"oneOf": [const, one_axis]},
-                    },
+            _object(
+                ["form", "factors"],
+                form={"const": "product"},
+                factors={
+                    "type": "array",
+                    "minItems": 1,
+                    "maxItems": 3,
+                    "items": {"oneOf": [const, one_axis]},
                 },
-            },
+            ),
         ]
     }
 
@@ -112,156 +115,109 @@ def _field_schema(scalar):
 _FIELD = _field_schema(_NUMBER)
 _QFIELD = _field_schema(_QNUMBER)
 
-_GRID = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["dims"],
-    "properties": {
-        "dims": {
+_GRID = _object(
+    ["dims"],
+    dims={
+        "type": "array",
+        "minItems": 1,
+        "maxItems": 3,
+        "items": {
             "type": "array",
-            "minItems": 1,
-            "maxItems": 3,
-            "items": {
-                "type": "array",
-                "minItems": 2,
-                "maxItems": 2,
-                "items": {"type": "number"},
-            },
-        }
+            "minItems": 2,
+            "maxItems": 2,
+            "items": {"type": "number"},
+        },
     },
-}
+)
 
 _SCHEMAS = {
-    "roots": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["subcommand", "lambda0", "psi1", "psi2"],
-        "properties": {
-            "subcommand": {"const": "roots"},
-            "lambda0": _NUMBER,
-            "psi1": _NUMBER,
-            "psi2": _NUMBER,
-            "out": {"type": "string"},
-        },
-    },
-    "ground-state": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["subcommand", "grid", "beta"],
-        "properties": {
-            "subcommand": {"const": "ground-state"},
-            "grid": _GRID,
-            "beta": _FIELD,
-            "tol": {"type": "number"},
-            "out": {"type": "string"},
-        },
-    },
-    "attract": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["subcommand", "grid", "beta", "psi1", "psi2"],
-        "properties": {
-            "subcommand": {"const": "attract"},
-            "grid": _GRID,
-            "beta": _FIELD,
-            "psi1": _FIELD,
-            "psi2": _FIELD,
-            "u0_ratio": _NUMBER,
-            "u0": _FIELD,
-            "tol": {"type": "number"},
-            "t_max": {"type": "number"},
-            "epsilon": {"type": "number"},
-            "tol_h": {"type": "number"},
-            "out": {"type": "string"},
-        },
-    },
-    "ode": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["subcommand", "beta", "psi1", "psi2"],
-        "properties": {
-            "subcommand": {"const": "ode"},
-            "beta": _NUMBER,
-            "psi1": _NUMBER,
-            "psi2": _NUMBER,
-            "y0": _NUMBER,
-            "T": _NUMBER,
-            "dt": _NUMBER,
-            "out": {"type": "string"},
-        },
-    },
-    "phase": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["subcommand", "beta", "psi1", "psi2", "u0", "v0", "T", "dt"],
-        "properties": {
-            "subcommand": {"const": "phase"},
-            "beta": _NUMBER,
-            "psi1": _NUMBER,
-            "psi2": _NUMBER,
-            "u0": _NUMBER,
-            "v0": _NUMBER,
-            "T": _NUMBER,
-            "dt": _NUMBER,
-            "portrait": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["u_min", "u_max", "nu", "v_min", "v_max", "nv"],
-                "properties": {
-                    "u_min": _NUMBER,
-                    "u_max": _NUMBER,
-                    "nu": {"type": "integer", "minimum": 2},
-                    "v_min": _NUMBER,
-                    "v_max": _NUMBER,
-                    "nv": {"type": "integer", "minimum": 2},
-                },
-            },
-            "out": {"type": "string"},
-        },
-    },
-    "curvature": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["subcommand", "mode"],
-        "properties": {
-            "subcommand": {"const": "curvature"},
-            "mode": {"enum": ["twisted", "warp", "scaling"]},
-            "base_grid": _GRID,
-            "fiber_grid": _GRID,
-            "u": _FIELD,
-            "v": _FIELD,
-            "tol": {"type": "number"},
-            "s_mix": _NUMBER,
-            "h_sq": _NUMBER,
-            "t_sq": _NUMBER,
-            "u_const": _NUMBER,
-            "out": {"type": "string"},
-        },
-    },
-    "sweep": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["subcommand", "grid", "q", "beta", "psi1", "psi2"],
-        "properties": {
-            "subcommand": {"const": "sweep"},
-            "grid": _GRID,
-            "q": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["start", "stop", "count"],
-                "properties": {
-                    "start": _NUMBER,
-                    "stop": _NUMBER,
-                    "count": {"type": "integer", "minimum": 2},
-                },
-            },
-            "beta": _QFIELD,
-            "psi1": _QFIELD,
-            "psi2": _QFIELD,
-            "tol": {"type": "number"},
-            "out": {"type": "string"},
-        },
-    },
+    "roots": _command(
+        "roots",
+        ["lambda0", "psi1", "psi2"],
+        lambda0=_NUMBER,
+        psi1=_NUMBER,
+        psi2=_NUMBER,
+    ),
+    "ground-state": _command(
+        "ground-state",
+        ["grid", "beta"],
+        grid=_GRID,
+        beta=_FIELD,
+        tol={"type": "number"},
+    ),
+    "attract": _command(
+        "attract",
+        ["grid", "beta", "psi1", "psi2"],
+        grid=_GRID,
+        beta=_FIELD,
+        psi1=_FIELD,
+        psi2=_FIELD,
+        u0_ratio=_NUMBER,
+        u0=_FIELD,
+        tol={"type": "number"},
+        t_max={"type": "number"},
+        epsilon={"type": "number"},
+        tol_h={"type": "number"},
+    ),
+    "ode": _command(
+        "ode",
+        ["beta", "psi1", "psi2"],
+        beta=_NUMBER,
+        psi1=_NUMBER,
+        psi2=_NUMBER,
+        y0=_NUMBER,
+        T=_NUMBER,
+        dt=_NUMBER,
+    ),
+    "phase": _command(
+        "phase",
+        ["beta", "psi1", "psi2", "u0", "v0", "T", "dt"],
+        beta=_NUMBER,
+        psi1=_NUMBER,
+        psi2=_NUMBER,
+        u0=_NUMBER,
+        v0=_NUMBER,
+        T=_NUMBER,
+        dt=_NUMBER,
+        portrait=_object(
+            ["u_min", "u_max", "nu", "v_min", "v_max", "nv"],
+            u_min=_NUMBER,
+            u_max=_NUMBER,
+            nu={"type": "integer", "minimum": 2},
+            v_min=_NUMBER,
+            v_max=_NUMBER,
+            nv={"type": "integer", "minimum": 2},
+        ),
+    ),
+    "curvature": _command(
+        "curvature",
+        ["mode"],
+        mode={"enum": ["twisted", "warp", "scaling"]},
+        base_grid=_GRID,
+        fiber_grid=_GRID,
+        u=_FIELD,
+        v=_FIELD,
+        tol={"type": "number"},
+        s_mix=_NUMBER,
+        h_sq=_NUMBER,
+        t_sq=_NUMBER,
+        u_const=_NUMBER,
+    ),
+    "sweep": _command(
+        "sweep",
+        ["grid", "q", "beta", "psi1", "psi2"],
+        grid=_GRID,
+        q=_object(
+            ["start", "stop", "count"],
+            start=_NUMBER,
+            stop=_NUMBER,
+            count={"type": "integer", "minimum": 2},
+        ),
+        beta=_QFIELD,
+        psi1=_QFIELD,
+        psi2=_QFIELD,
+        tol={"type": "number"},
+    ),
 }
 
 

@@ -7,13 +7,22 @@ central-difference stencil with periodic wrap, summed over dimensions;
 it is symmetric and negative semidefinite under the uniform-weight inner
 product, which the spectral and maximum-principle machinery downstream
 relies on.
+
+This module assembles the stencil's one matrix, :func:`laplacian_sparse`,
+which the SPD solver factors and :func:`laplacian_matrix` densifies for
+the oracles.  Applying the Laplacian stays matrix-free
+(:func:`laplacian_values`): it differences neighbours before it scales by
+``1/h**2``, which rounds more tightly than a sparse matvec that scales
+each neighbour first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 #: largest total point count for which dense-matrix oracles are built
 DENSE_CAP = 4096
@@ -177,28 +186,47 @@ def apply_laplacian(grid: Grid, f: ScalarField, axes=None) -> ScalarField:
     return ScalarField(grid, laplacian_values(grid, f.values, axes=axes))
 
 
+def laplacian_sparse(grid: Grid, axes=None):
+    """Sparse stencil Laplacian in the C-order flattening of the grid.
+
+    The one assembly of the stencil's matrix: the Kronecker sum of the
+    1-d cyclic second-difference matrices over ``axes`` (all axes when
+    None).  It is built once per ``(grid, axes)`` and shared by every
+    caller, so its arrays are read-only.
+    """
+    return _laplacian_sparse(
+        grid, tuple(range(grid.ndim)) if axes is None else tuple(axes)
+    )
+
+
+@lru_cache(maxsize=8)
+def _laplacian_sparse(grid: Grid, axes: tuple[int, ...]):
+    n = grid.total_points
+    lap = sp.csc_matrix((n, n))
+    for ax in axes:
+        points, h = grid.points[ax], grid.spacings[ax]
+        w = 1.0 / (h * h)
+        second_difference = sp.diags(
+            [w, w, -2.0 * w, w, w], [1 - points, -1, 0, 1, points - 1],
+            shape=(points, points),
+        )
+        before = int(np.prod(grid.points[:ax]))
+        after = int(np.prod(grid.points[ax + 1:]))
+        term = sp.kron(sp.identity(before), second_difference)
+        lap = lap + sp.kron(term, sp.identity(after))
+    for arr in (lap.data, lap.indices, lap.indptr):
+        arr.flags.writeable = False
+    return lap
+
+
 def laplacian_matrix(grid: Grid, axes=None) -> np.ndarray:
     """Dense symmetric matrix representing :func:`apply_laplacian`.
 
-    Capped at ``DENSE_CAP`` total points; intended as the oracle backend
-    for spectral computations and tests.
+    The dense copy of :func:`laplacian_sparse`, capped at ``DENSE_CAP``
+    total points; intended as the oracle backend for spectral
+    computations and tests.
     """
     n = grid.total_points
     if n > DENSE_CAP:
         raise ValueError(f"dense Laplacian capped at {DENSE_CAP} points, got {n}")
-    use = range(grid.ndim) if axes is None else axes
-    mat = np.zeros((n, n))
-    eye_blocks = [np.eye(points) for points in grid.points]
-    for ax in use:
-        points = grid.points[ax]
-        h = grid.spacings[ax]
-        one_d = np.zeros((points, points))
-        idx = np.arange(points)
-        one_d[idx, idx] = -2.0 / (h * h)
-        one_d[idx, (idx + 1) % points] += 1.0 / (h * h)
-        one_d[idx, (idx - 1) % points] += 1.0 / (h * h)
-        term = np.eye(1)
-        for d in range(grid.ndim):
-            term = np.kron(term, one_d if d == ax else eye_blocks[d])
-        mat += term
-    return mat
+    return laplacian_sparse(grid, axes).toarray()

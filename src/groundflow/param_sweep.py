@@ -223,24 +223,17 @@ def smoothness_diagnostic(result: SweepResult, order: int) -> SmoothnessReport:
         gap_coarse = float(np.max(np.abs(d4 - d2)))
         scale = max(1.0, float(np.max(np.abs(d1))))
         if gap_fine < _DEGENERATE_FLOOR * scale and gap_coarse < _DEGENERATE_FLOOR * scale:
-            axes_reports.append(
-                AxisSmoothness(
-                    axis=axis,
-                    ratio=None,
-                    quotient_max=float(np.max(np.abs(d1))),
-                    refinement_gap=gap_fine,
-                    passed=True,
-                )
-            )
-            continue
-        ratio = gap_coarse / gap_fine if gap_fine > 0.0 else np.inf
+            ratio, passed = None, True
+        else:
+            ratio = gap_coarse / gap_fine if gap_fine > 0.0 else np.inf
+            passed = _RATIO_BAND[0] <= ratio <= _RATIO_BAND[1]
         axes_reports.append(
             AxisSmoothness(
                 axis=axis,
                 ratio=ratio,
                 quotient_max=float(np.max(np.abs(d1))),
                 refinement_gap=gap_fine,
-                passed=_RATIO_BAND[0] <= ratio <= _RATIO_BAND[1],
+                passed=passed,
             )
         )
     e0_lip = [
@@ -259,14 +252,14 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
     """Attractor at every parameter point, warm-started along the sweep.
 
     Admissibility is verified for every q up front (the first offending
-    q is reported).  Each attractor is the stationary solution found by
-    Newton's method and certified inside the sandwich
-    ``[y1_minus*e0, y1_plus*e0]`` with a stationary residual of at most
-    ``10*tol`` (see ``heatflow._newton_stationary``).  The first q starts
-    from the midpoint ratio; each later q starts from the previous
-    attractor with its ratio u/e0 clipped into the new sandwich, since
-    Newton may fail from starts far outside it.  ``tol`` must lie in
-    (0, 1e-4].
+    q is reported, as is the q of a ground state that fails to converge).
+    Each attractor is the stationary solution found by Newton's method
+    and certified inside the sandwich ``[y1_minus*e0, y1_plus*e0]`` with
+    a stationary residual of at most ``10*tol`` (see
+    ``heatflow._newton_stationary``).  The first q starts from the
+    midpoint ratio; each later q starts from the previous attractor with
+    its ratio u/e0 clipped into the new sandwich, since Newton may fail
+    from starts far outside it.  ``tol`` must lie in (0, 1e-4].
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
@@ -278,6 +271,10 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
         except AdmissibilityError as exc:
             raise AdmissibilityError(
                 f"admissibility fails first at q={q_tuple}", margin=exc.margin
+            ) from exc
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"ground state failed at q={q_tuple}: {exc}", residual=exc.residual
             ) from exc
         _check_gap(p.spectral.gap, q_tuple)
         problems.append(p)

@@ -5,6 +5,8 @@ from scipy's brentq on sign-change brackets, ODE references from high-order
 adaptive integration, and dense operators from index loops.
 """
 
+from itertools import product
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -68,11 +70,29 @@ def scalar_ode_reference(lam, A, B, y0, t_eval):
     return sol.y[0]
 
 
-def looped_laplacian_matrix(points, h):
-    """1-D periodic stencil matrix assembled index by index."""
-    mat = np.zeros((points, points))
-    for i in range(points):
-        mat[i, i] = -2.0 / h**2
-        mat[i, (i + 1) % points] += 1.0 / h**2
-        mat[i, (i - 1) % points] += 1.0 / h**2
+def looped_laplacian_matrix(grid, axes=None):
+    """Periodic stencil matrix of a grid, assembled entry by entry.
+
+    Rows and columns are C-order flat indices of the grid's multi-indices.
+    Each axis in ``axes`` (all axes when None), taken in that order, adds
+    -2/h^2 on the diagonal and 1/h^2 at the two neighbours along it.
+    """
+    shape = grid.points
+    use = range(len(shape)) if axes is None else axes
+    strides = [int(np.prod(shape[d + 1:])) for d in range(len(shape))]
+
+    def flat(index):
+        return sum(i * stride for i, stride in zip(index, strides))
+
+    n = int(np.prod(shape))
+    mat = np.zeros((n, n))
+    for index in product(*(range(points) for points in shape)):
+        row = flat(index)
+        for ax in use:
+            h = grid.spacings[ax]
+            mat[row, row] += -2.0 / h**2
+            for step in (1, -1):
+                neighbour = list(index)
+                neighbour[ax] = (index[ax] + step) % shape[ax]
+                mat[row, flat(neighbour)] += 1.0 / h**2
     return mat

@@ -8,6 +8,7 @@ from groundflow import (
     make_circle_grid,
     make_torus_grid,
 )
+from groundflow.grid import MIN_POINTS, laplacian_sparse
 
 from oracles import looped_laplacian_matrix
 
@@ -108,11 +109,45 @@ def test_matrix_circulant_rows():
     assert np.max(np.abs(m.sum(axis=1))) == 0.0
 
 
+TORI = {
+    "anisotropic-torus": make_torus_grid([(2 * np.pi, MIN_POINTS), (3.0, 9)]),
+    "torus-3d": make_torus_grid([(2.0, 5), (2 * np.pi, 6), (1.5, 4)]),
+}
+
+
 def test_matrix_matches_looped_assembly():
-    g = make_circle_grid(2 * np.pi, 24)
-    assert np.array_equal(
-        laplacian_matrix(g), looped_laplacian_matrix(24, g.spacings[0])
-    )
+    for g in (make_circle_grid(2 * np.pi, 24), *TORI.values()):
+        assert np.array_equal(laplacian_matrix(g), looped_laplacian_matrix(g))
+
+
+@pytest.mark.parametrize(
+    "name, axes",
+    [
+        ("anisotropic-torus", (0,)),
+        ("anisotropic-torus", (1,)),
+        ("torus-3d", (0,)),
+        ("torus-3d", (1,)),
+        ("torus-3d", (0, 2)),
+    ],
+    ids=lambda v: "axes" + "".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_axis_subset_matrix_matches_looped_assembly(name, axes):
+    g = TORI[name]
+    assert np.array_equal(laplacian_matrix(g, axes), looped_laplacian_matrix(g, axes))
+
+
+def test_equal_grids_share_one_read_only_laplacian():
+    dims = [(2 * np.pi, 6), (3.0, 5)]
+    lap = laplacian_sparse(make_torus_grid(dims))
+    assert laplacian_sparse(make_torus_grid(dims)) is lap
+    # the cache key is (grid, axes), with axes as a tuple of all axes by default
+    assert laplacian_sparse(make_torus_grid(dims), [0, 1]) is lap
+    leaf = laplacian_sparse(make_torus_grid(dims), (0,))
+    assert leaf is not lap
+    assert laplacian_sparse(make_torus_grid(dims), [0]) is leaf
+    assert (leaf != lap).nnz > 0
+    with pytest.raises(ValueError):
+        lap.data[0] = 0.0
 
 
 def test_matrix_vs_stencil_on_random_fields():

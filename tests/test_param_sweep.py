@@ -227,15 +227,32 @@ def test_sweep_failures_keep_their_cause(monkeypatch):
     assert err.value.residual == 1.0
 
 
+def test_sweep_attractor_names_the_q_of_a_failed_ground_state(monkeypatch):
+    fam = corollary_family(n=16, count=3)
+    cause = ConvergenceError("inner failure", residual=1.0)
+    monkeypatch.setattr(heatflow, "ground_state", _raise(cause))
+    with pytest.raises(ConvergenceError) as err:
+        sweep_attractor(fam)
+    assert str(err.value) == "ground state failed at q=[0.]: inner failure"
+    assert err.value.__cause__ is cause
+    assert err.value.residual == 1.0
+
+
 def test_sweep_programming_errors_are_not_wrapped(monkeypatch):
     fam = corollary_family(n=16, count=3)
-    monkeypatch.setattr(param_sweep, "ground_state", _raise(TypeError("bug")))
-    with pytest.raises(TypeError, match="bug"):
-        sweep_ground_state(fam)
-    monkeypatch.undo()
-    monkeypatch.setattr(param_sweep, "_newton_stationary", _raise(TypeError("bug")))
-    with pytest.raises(TypeError, match="bug"):
-        sweep_attractor(fam)
+    for error in (TypeError, ValueError):
+        monkeypatch.setattr(param_sweep, "ground_state", _raise(error("bug")))
+        with pytest.raises(error, match="bug"):
+            sweep_ground_state(fam)
+        monkeypatch.undo()
+        monkeypatch.setattr(heatflow, "ground_state", _raise(error("bug")))
+        with pytest.raises(error, match="bug"):
+            sweep_attractor(fam)
+        monkeypatch.undo()
+        monkeypatch.setattr(param_sweep, "_newton_stationary", _raise(error("bug")))
+        with pytest.raises(error, match="bug"):
+            sweep_attractor(fam)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-3])

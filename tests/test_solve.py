@@ -12,7 +12,7 @@ from groundflow import (
     make_torus_grid,
 )
 from groundflow import _solve, heatflow
-from groundflow._solve import _laplacian_sparse, spd_solver
+from groundflow._solve import spd_solver
 from groundflow.grid import MIN_POINTS, laplacian_values
 from groundflow.heatflow import _imex_step
 
@@ -52,15 +52,6 @@ def test_successive_solvers_on_one_grid_match_dense_oracle(name):
         expected = np.linalg.solve(dense, b)
         x = spd_solver(grid, lap_coeff, diag)(b)
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-def test_equal_grids_share_one_read_only_laplacian():
-    dims = [(2 * np.pi, 6), (3.0, 5)]
-    lap = _laplacian_sparse(make_torus_grid(dims))
-    assert _laplacian_sparse(make_torus_grid(dims)) is lap
-    np.testing.assert_array_equal(lap.toarray(), laplacian_matrix(make_torus_grid(dims)))
-    with pytest.raises(ValueError):
-        lap.data[0] = 0.0
 
 
 @pytest.mark.parametrize("lap_coeff", [1e-3, 1.0])
