@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_csv
-from .comparison import _equilibrium_slopes
+from .comparison import _label_equilibria
 from .errors import PhaseSpaceExitError
 
 SADDLE = "saddle"
@@ -169,16 +169,7 @@ def fixed_points_and_types(beta: float, psi1: float, psi2: float):
         raise ValueError("psi1 and psi2 must be nonnegative")
     if beta == 0.0 and psi1 == 0.0 and psi2 == 0.0:
         raise ValueError("degenerate system: beta = psi1 = psi2 = 0")
-    result = []
-    for root, slope in _equilibrium_slopes(beta, psi1, psi2):
-        if slope < 0.0:
-            kind = SADDLE
-        elif slope > 0.0:
-            kind = CENTER
-        else:
-            kind = DEGENERATE
-        result.append((root, kind))
-    return result
+    return _label_equilibria(beta, psi1, psi2, (SADDLE, CENTER, DEGENERATE))
 
 
 def separatrix_level(beta: float, psi1: float, psi2: float):

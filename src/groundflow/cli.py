@@ -11,8 +11,10 @@ carries, recorded in summary.json).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,11 +50,6 @@ from .param_sweep import (
 from .schrodinger import ground_state
 
 SCHEMA_VERSION = 1
-# numeric attributes of the package's exceptions, copied into failure summaries
-_ERROR_NUMBERS = (
-    "margin", "residual", "time", "min_ratio", "dt", "min_value",
-    "exit_time",
-)
 
 
 def _object(required, **properties):
@@ -85,15 +82,18 @@ _QNUMBER = {
 
 
 def _field_schema(scalar):
+    wave = {
+        "form": {"enum": ["sin", "cos"]},
+        "a": scalar,
+        "b": scalar,
+        "k": {"type": "integer", "minimum": 0},
+    }
     one_axis = _object(
-        ["form", "a", "b", "k"],
-        form={"enum": ["sin", "cos"]},
-        a=scalar,
-        b=scalar,
-        k={"type": "integer", "minimum": 0},
-        axis={"type": "integer", "minimum": 0},
+        ["form", "a", "b", "k"], **wave, axis={"type": "integer", "minimum": 0}
     )
     const = _object(["const"], const=scalar)
+    # a product's factors apply by position, so they take no axis
+    factor = _object(["form", "a", "b", "k"], **wave)
     return {
         "oneOf": [
             const,
@@ -105,7 +105,7 @@ def _field_schema(scalar):
                     "type": "array",
                     "minItems": 1,
                     "maxItems": 3,
-                    "items": {"oneOf": [const, one_axis]},
+                    "items": {"oneOf": [const, factor]},
                 },
             ),
         ]
@@ -286,13 +286,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_summary(out_dir: Path, payload: dict):
-    payload = {"schema": SCHEMA_VERSION, **payload}
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
-
-
 def _run_roots(cfg, out_dir):
     lam, psi1, psi2 = cfg["lambda0"], cfg["psi1"], cfg["psi2"]
     coeffs = ExtremaCoeffs(
@@ -300,7 +293,6 @@ def _run_roots(cfg, out_dir):
     )
     adm = check_admissible(lam, coeffs)
     summary = {
-        "subcommand": "roots",
         "lambda0": lam,
         "admissible": adm.admissible,
         "margin": adm.margin,
@@ -311,8 +303,7 @@ def _run_roots(cfg, out_dir):
             y1=profile.y1, y2=profile.y2, y3=profile.y3, y4=profile.y4,
             mu0=decay_rate_mu(0.0, profile),
         )
-    _write_summary(out_dir, summary)
-    return 0
+    return summary
 
 
 def _run_ground_state(cfg, out_dir):
@@ -320,16 +311,14 @@ def _run_ground_state(cfg, out_dir):
     beta = _parse_field(cfg["beta"], grid)
     result = ground_state(grid, beta, tol=cfg.get("tol", 1e-8))
     cv.field_to_csv(result.e0, out_dir / "e0.csv")
-    _write_summary(out_dir, {
-        "subcommand": "ground-state",
+    return {
         "lambda0": result.lambda0,
         "gap": result.gap,
         "iterations": result.iterations,
         "residual": result.residual,
         "e0_min": result.e0.min(),
         "e0_max": result.e0.max(),
-    })
-    return 0
+    }
 
 
 def _run_attract(cfg, out_dir):
@@ -355,8 +344,7 @@ def _run_attract(cfg, out_dir):
     sandwich = certify_sandwich(u_star, p, tol_h=cfg.get("tol_h", 1e-3))
     bound = certify_exponential_bound(trace, p, epsilon)
     trace_to_csv(trace, out_dir / "trace.csv")
-    _write_summary(out_dir, {
-        "subcommand": "attract",
+    return {
         "lambda0": p.lambda0,
         "margin": check_admissible(p.lambda0, p.coeffs).margin,
         "y1_minus": y1m,
@@ -371,22 +359,14 @@ def _run_attract(cfg, out_dir):
             "tol_h": sandwich.tol_h,
             "passed": sandwich.passed,
         },
-        "exponential_bound": {
-            "mu": bound.mu,
-            "delta_inv": bound.delta_inv,
-            "initial_distance": bound.initial_distance,
-            "max_ratio": bound.max_ratio,
-            "passed": bound.passed,
-        },
-    })
-    return 0
+        "exponential_bound": dataclasses.asdict(bound),
+    }
 
 
 def _run_ode(cfg, out_dir):
     beta, psi1, psi2 = cfg["beta"], cfg["psi1"], cfg["psi2"]
     points = classify_fixed_points(beta, psi1, psi2)
     summary = {
-        "subcommand": "ode",
         "fixed_points": [{"root": r, "stability": s} for r, s in points],
     }
     if "y0" in cfg:
@@ -404,8 +384,7 @@ def _run_ode(cfg, out_dir):
             "terminal": float(traj.terminal),
             "target_y1": profile.y1,
         }
-    _write_summary(out_dir, summary)
-    return 0
+    return summary
 
 
 def _run_phase(cfg, out_dir):
@@ -423,15 +402,13 @@ def _run_phase(cfg, out_dir):
             np.linspace(pt["v_min"], pt["v_max"], pt["nv"]),
             out_dir / "portrait.csv",
         )
-    _write_summary(out_dir, {
-        "subcommand": "phase",
+    return {
         "fixed_points": [{"u": r, "type": k} for r, k in points],
         "separatrix_level": cd.separatrix_level(beta, psi1, psi2),
         "energy_drift": orbit.energy_drift,
         "closed": orbit.closed,
         "period": orbit.period,
-    })
-    return 0
+    }
 
 
 def _require(cfg, keys, mode):
@@ -442,14 +419,13 @@ def _require(cfg, keys, mode):
 
 def _run_curvature(cfg, out_dir):
     mode = cfg["mode"]
-    summary = {"subcommand": "curvature", "mode": mode}
+    summary = {"mode": mode}
     if mode == "scaling":
         _require(cfg, ["s_mix", "h_sq", "t_sq", "u_const"], mode)
         summary["value"] = cv.scaled_mixed_curvature(
             cfg["s_mix"], cfg["h_sq"], cfg["t_sq"], cfg["u_const"]
         )
-        _write_summary(out_dir, summary)
-        return 0
+        return summary
     _require(cfg, ["base_grid", "fiber_grid", "v"], mode)
     base = _parse_grid(cfg["base_grid"])
     fiber = _parse_grid(cfg["fiber_grid"])
@@ -473,8 +449,7 @@ def _run_curvature(cfg, out_dir):
         summary.update(
             leaf_smix=leaf_smix.tolist(), max_leaf_oscillation=oscillation
         )
-    _write_summary(out_dir, summary)
-    return 0
+    return summary
 
 
 def _run_sweep(cfg, out_dir):
@@ -495,7 +470,6 @@ def _run_sweep(cfg, out_dir):
     result = sweep_attractor(family, tol=cfg.get("tol", 1e-8))
     sweep_to_csv(result, out_dir / "sweep.csv")
     summary = {
-        "subcommand": "sweep",
         "q": axis.tolist(),
         "lambda0": result.lambda0.tolist(),
         "gap": result.gap.tolist(),
@@ -510,10 +484,10 @@ def _run_sweep(cfg, out_dir):
             "refinement_gap": smooth.axes[0].refinement_gap,
             "passed": smooth.passed,
         }
-    _write_summary(out_dir, summary)
-    return 0
+    return summary
 
 
+# each runner writes its tables into out_dir and returns its summary
 _RUNNERS = {
     "roots": _run_roots,
     "ground-state": _run_ground_state,
@@ -527,7 +501,7 @@ _RUNNERS = {
 
 def run(config: dict, out_dir: Path) -> int:
     sub = config.get("subcommand")
-    if sub not in _RUNNERS:
+    if not isinstance(sub, str) or sub not in _RUNNERS:
         raise ConfigError(
             f"unknown subcommand {sub!r}; choose one of {sorted(_RUNNERS)}"
         )
@@ -536,15 +510,28 @@ def run(config: dict, out_dir: Path) -> int:
         raise error
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return _RUNNERS[sub](config, out_dir)
+        summary, code = _RUNNERS[sub](config, out_dir), 0
     except GroundflowError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
-        for name in _ERROR_NUMBERS:
-            value = getattr(exc, name, None)
-            if value is not None:
-                error[name] = float(value)
-        _write_summary(out_dir, {"subcommand": sub, "error": error})
-        return 3
+        error.update(
+            (name, float(value)) for name, value in exc.numbers.items()
+            if value is not None
+        )
+        summary, code = {"error": error}, 3
+    summary = {"schema": SCHEMA_VERSION, "subcommand": sub, **summary}
+    with open(out_dir / "summary.json", "w") as fh:
+        json.dump(summary, fh, sort_keys=True, indent=2, default=_json_default)
+        fh.write("\n")
+    return code
+
+
+def _finite_float(text):
+    """``json.load`` hook for float literals and for ``NaN``, ``Infinity``
+    and ``-Infinity`` (which are not JSON): only finite floats pass."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return value
 
 
 def main(argv=None) -> int:
@@ -557,13 +544,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(
+                fh, parse_float=_finite_float, parse_constant=_finite_float
+            )
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out) if args.out else Path(config.get("out", "."))
     try:
-        return run(config, out_dir)
+        if not isinstance(config, dict):
+            kind = type(config).__name__
+            raise ConfigError(f"config must be a JSON object, not {kind}")
+        out = args.out or config.get("out", ".")
+        if not isinstance(out, str):
+            raise ConfigError(f"out must be a string, got {out!r}")
+        return run(config, Path(out))
     except jsonschema.ValidationError as exc:
         print(f"config error at {exc.json_path}: {exc.message}", file=sys.stderr)
         return 2

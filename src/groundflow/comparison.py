@@ -137,9 +137,10 @@ def _bisect(f, lo: float, hi: float) -> float:
 def phi_roots(lambda0: float, A: float, B: float):
     """Positive roots (y1, y2) of the profile, y1 > y2; y2 is None for B = 0.
 
-    Solves the biquadratic -lambda0*y^4 + A*y^2 - B = 0 in closed form,
-    using 2B/(A + sqrt(disc)) for the small root to dodge cancellation,
-    with a bisection polish when the discriminant nearly vanishes.
+    Solves the biquadratic -lambda0*y^4 + A*y^2 - B = 0 in the closed form
+    of :func:`positive_equilibria` (beta = -lambda0), which uses
+    2B/(A + sqrt(disc)) for the small root to dodge cancellation, with a
+    bisection polish when the discriminant nearly vanishes.
     """
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
@@ -148,16 +149,14 @@ def phi_roots(lambda0: float, A: float, B: float):
     if B < 0.0:
         raise ValueError(f"B must be nonnegative, got {B}")
     if B == 0.0:
-        return math.sqrt(A / lambda0), None
+        return positive_equilibria(-lambda0, A, B)[0], None
     disc = A * A - 4.0 * lambda0 * B
     if disc <= 0.0:
         raise AdmissibilityError(
             "profile discriminant is not positive; no positive root pair",
             margin=disc,
         )
-    s = math.sqrt(disc)
-    y1 = math.sqrt((A + s) / (2.0 * lambda0))
-    y2 = math.sqrt(2.0 * B / (A + s))
+    y1, y2 = positive_equilibria(-lambda0, A, B)
     if disc < _CANCELLATION_GUARD * A * A:
         quartic = lambda y: -lambda0 * y**4 + A * y**2 - B
         y_peak = math.sqrt(A / (2.0 * lambda0))
@@ -355,13 +354,24 @@ def positive_equilibria(beta: float, psi1: float, psi2: float) -> list[float]:
     return [math.sqrt(2.0 * psi2 / (psi1 + s))]
 
 
-def _equilibrium_slopes(beta: float, psi1: float, psi2: float):
-    """``(root, slope)`` per positive equilibrium, descending, where slope is
-    the derivative ``beta - psi1/y**2 + 3*psi2/y**4`` of the force there."""
-    return [
-        (root, beta - psi1 / root**2 + 3.0 * psi2 / root**4)
-        for root in positive_equilibria(beta, psi1, psi2)
-    ]
+def _label_equilibria(beta: float, psi1: float, psi2: float, labels):
+    """``(root, label)`` per positive equilibrium, descending.
+
+    ``labels`` names a negative, a positive and a zero slope of the force
+    ``beta*y + psi1/y - psi2/y**3`` at the root, whose derivative there is
+    ``beta - psi1/y**2 + 3*psi2/y**4``.
+    """
+    negative, positive, zero = labels
+    result = []
+    for root in positive_equilibria(beta, psi1, psi2):
+        slope = beta - psi1 / root**2 + 3.0 * psi2 / root**4
+        if slope < 0.0:
+            result.append((root, negative))
+        elif slope > 0.0:
+            result.append((root, positive))
+        else:
+            result.append((root, zero))
+    return result
 
 
 def classify_fixed_points(beta: float, psi1: float, psi2: float):
@@ -374,16 +384,7 @@ def classify_fixed_points(beta: float, psi1: float, psi2: float):
         raise ValueError(f"psi1 must be positive, got {psi1}")
     if psi2 < 0.0:
         raise ValueError(f"psi2 must be nonnegative, got {psi2}")
-    result = []
-    for root, slope in _equilibrium_slopes(beta, psi1, psi2):
-        if slope < 0.0:
-            label = STABLE
-        elif slope > 0.0:
-            label = UNSTABLE
-        else:
-            label = SEMISTABLE
-        result.append((root, label))
-    return result
+    return _label_equilibria(beta, psi1, psi2, (STABLE, UNSTABLE, SEMISTABLE))
 
 
 def curvature_problem_inputs(

@@ -2,7 +2,18 @@
 
 
 class GroundflowError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures.
+
+    ``numbers`` maps the name of each number the failure carries to its
+    value (None when not known); each is also an attribute of that name.
+    The CLI copies the known ones into its failure summary.
+    """
+
+    def __init__(self, message, **numbers):
+        super().__init__(message)
+        self.numbers = numbers
+        for name, value in numbers.items():
+            setattr(self, name, value)
 
 
 class ConvergenceError(GroundflowError):
@@ -13,8 +24,7 @@ class ConvergenceError(GroundflowError):
     """
 
     def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+        super().__init__(message, residual=residual)
 
 
 class AdmissibilityError(GroundflowError):
@@ -26,17 +36,14 @@ class AdmissibilityError(GroundflowError):
     """
 
     def __init__(self, message, margin):
-        super().__init__(f"{message} (margin={margin!r})")
-        self.margin = margin
+        super().__init__(f"{message} (margin={margin!r})", margin=margin)
 
 
 class PositivityLossError(GroundflowError):
     """A time step produced a nonpositive field even after dt halving."""
 
     def __init__(self, message, dt=None, min_value=None):
-        super().__init__(message)
-        self.dt = dt
-        self.min_value = min_value
+        super().__init__(message, dt=dt, min_value=min_value)
 
 
 class BlowdownError(GroundflowError):
@@ -49,14 +56,11 @@ class BasinError(GroundflowError):
     critical level) mid-flight."""
 
     def __init__(self, message, time=None, min_ratio=None):
-        super().__init__(message)
-        self.time = time
-        self.min_ratio = min_ratio
+        super().__init__(message, time=time, min_ratio=min_ratio)
 
 
 class PhaseSpaceExitError(GroundflowError):
     """A planar orbit reached u <= 0 and left the half-plane phase space."""
 
     def __init__(self, message, exit_time):
-        super().__init__(f"{message} (exit_time={exit_time!r})")
-        self.exit_time = exit_time
+        super().__init__(f"{message} (exit_time={exit_time!r})", exit_time=exit_time)

@@ -56,10 +56,6 @@ class Grid:
         return len(self.dims)
 
     @property
-    def lengths(self) -> tuple[float, ...]:
-        return tuple(length for length, _ in self.dims)
-
-    @property
     def points(self) -> tuple[int, ...]:
         return tuple(points for _, points in self.dims)
 
@@ -124,10 +120,6 @@ class ScalarField:
         mesh = grid.meshgrid()
         vals = np.broadcast_to(fn(*mesh), grid.shape)
         return cls(grid, np.asarray(vals, dtype=float).ravel())
-
-    @property
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
 
     def min(self) -> float:
         return float(self.values.min())

@@ -15,7 +15,7 @@ it keeps one Jacobian factor across its iterations while they contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -73,6 +73,10 @@ class ProblemData:
     @property
     def lambda0(self) -> float:
         return self.spectral.lambda0
+
+    @property
+    def gap(self) -> float:
+        return self.spectral.gap
 
     def ratio(self, u: ScalarField) -> np.ndarray:
         """Pointwise u / e0."""
@@ -206,6 +210,14 @@ def _in_basin(values: np.ndarray, p: ProblemData) -> bool:
     return float(np.min(values / p.e0.values)) > y3m + slack
 
 
+def _check_basin(values: np.ndarray, p: ProblemData, message: str, time: float):
+    """Raise :class:`BasinError` at ``time``, carrying min(u/e0), when
+    ``values`` fail :func:`_in_basin`."""
+    if not _in_basin(values, p):
+        min_ratio = float(np.min(values / p.e0.values))
+        raise BasinError(message, time=time, min_ratio=min_ratio)
+
+
 def _imex_step(p: ProblemData, states: list[np.ndarray], dt: float):
     """One IMEX step of at most dt for every state, all with the same dt.
 
@@ -334,68 +346,50 @@ def evolve_to_attractor(
     ``t_max``.
 
     Returns ``(u_star, trace)``; sup-norm distances in the trace are
-    measured against the returned attractor.  The states are not kept:
-    once the attractor is known the march is replayed from ``u0`` to
-    measure them, so memory stays O(N) whatever the step count.
+    measured against the returned attractor.  The first march keeps only
+    the current state; once the attractor is known the march is replayed
+    from ``u0`` to record the trace, four numbers per step, so memory
+    stays O(N) whatever the step count.
     """
     _check_same_grid(p.grid, u0)
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     if u0.min() <= 0.0:
         raise ValueError("initial field must be strictly positive")
-    if not _in_basin(u0.values, p):
-        raise BasinError(
-            "initial data outside the open basin (ratio at or below y3)",
-            time=0.0,
-            min_ratio=float(np.min(p.ratio(u0))),
-        )
+    _check_basin(
+        u0.values, p, "initial data outside the open basin (ratio at or below y3)", 0.0
+    )
 
     u = u0.values
     e0 = p.e0.values
     inc_tol = tol * min(1.0, decay_rate_mu(0.0, p.profile_minus))
-
-    times = [0.0]
-    min_ratios = [float(np.min(u / e0))]
-    max_ratios = [float(np.max(u / e0))]
-    converged_at = None
-
     for accepted, (t, (candidate,), dt_used) in enumerate(_march(p, [u], t_max), 1):
         inc = float(np.max(np.abs(candidate - u))) / dt_used
-        if not _in_basin(candidate, p):
-            raise BasinError(
-                "flow left the basin mid-flight",
-                time=t,
-                min_ratio=float(np.min(candidate / e0)),
-            )
-        converged = (
-            inc < inc_tol
-            and _sup_residual(candidate, p) < _residual_bound(candidate, p, tol)
-        )
+        _check_basin(candidate, p, "flow left the basin mid-flight", t)
         u = candidate
-        if converged and accepted == 1:
-            # stationary initial data: keep the single-entry trace
-            converged_at = 0.0
-            break
-        times.append(t)
-        min_ratios.append(float(np.min(candidate / e0)))
-        max_ratios.append(float(np.max(candidate / e0)))
-        if converged:
-            converged_at = t
+        if inc < inc_tol and _sup_residual(u, p) < _residual_bound(u, p, tol):
             break
     else:
         raise ConvergenceError(
             f"no attractor within t_max={t_max} (last increment rate above tol)"
         )
+    # stationary initial data (converged on the first step) keeps a
+    # single-entry trace
+    recorded, converged_at = (accepted, t) if accepted > 1 else (0, 0.0)
 
-    # replay the same steps from u0 to measure the recorded states against u
-    sup = [float(np.max(np.abs(u0.values - u)))]
-    for _, (s,), _ in islice(_march(p, [u0.values], t_max), len(times) - 1):
-        sup.append(float(np.max(np.abs(s - u))))
+    # replay the same steps from u0, recording four numbers per state
+    rows = []
+    replay = islice(_march(p, [u0.values], t_max), recorded)
+    for t, (s,), _ in chain([(0.0, (u0.values,), None)], replay):
+        ratio = s / e0
+        rows.append((t, float(np.max(np.abs(s - u))),
+                     float(np.min(ratio)), float(np.max(ratio))))
+    times, sup, min_ratios, max_ratios = map(np.asarray, zip(*rows))
     trace = FlowTrace(
-        times=np.asarray(times),
-        sup_distances=np.asarray(sup),
-        min_ratios=np.asarray(min_ratios),
-        max_ratios=np.asarray(max_ratios),
+        times=times,
+        sup_distances=sup,
+        min_ratios=min_ratios,
+        max_ratios=max_ratios,
         converged_at=converged_at,
     )
     return ScalarField(p.grid, u), trace
@@ -602,11 +596,7 @@ def comparison_principle_test(
     if np.any(u0.values < w0.values):
         raise ValueError("initial data must satisfy u0 >= w0 pointwise")
     for f in (u0, w0):
-        if not _in_basin(f.values, p):
-            raise BasinError(
-                "initial data outside the open basin", time=0.0,
-                min_ratio=float(np.min(p.ratio(f))),
-            )
+        _check_basin(f.values, p, "initial data outside the open basin", 0.0)
     min_gap = float(np.min(u0.values - w0.values))
     for _, (u, w), _ in _march(p, [u0.values, w0.values], T):
         min_gap = min(min_gap, float(np.min(u - w)))

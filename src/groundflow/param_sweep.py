@@ -17,7 +17,9 @@ carrying the cause's residual.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -135,45 +137,48 @@ def _difference_tables(family: ParamFamily, values: np.ndarray):
     return first, second
 
 
-def _check_gap(gap: float, q_tuple):
-    if gap < _GAP_FLOOR:
-        raise ConvergenceError(
-            f"spectral gap {gap!r} below {_GAP_FLOOR} at q={q_tuple}; "
-            "eigenvalue crossing suspected, sweep aborted"
-        )
+@contextmanager
+def _failing_at(q_tuple, stage: str):
+    """Re-raise a package failure inside the block as one naming ``q_tuple``.
 
-
-def sweep_ground_state(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
-    """Ground state at every parameter point, plus difference tables.
-
-    Positivity and normalization pin the eigenvector sign at every q, so
-    no alignment between neighboring parameters is needed.
+    An admissibility failure keeps its type and margin; any other
+    :class:`GroundflowError` becomes a :class:`ConvergenceError` saying
+    which ``stage`` failed and carrying the cause's residual.  Other
+    exceptions (programming errors, ``ValueError``) pass unchanged.
     """
-    lam, gaps, e0s = [], [], []
+    try:
+        yield
+    except AdmissibilityError as exc:
+        raise AdmissibilityError(
+            f"admissibility fails first at q={q_tuple}", margin=exc.margin
+        ) from exc
+    except GroundflowError as exc:
+        raise ConvergenceError(
+            f"{stage} failed at q={q_tuple}: {exc}",
+            residual=getattr(exc, "residual", None),
+        ) from exc
+
+
+def _spectral_sweep(family: ParamFamily, solve_at) -> list:
+    """``solve_at(beta, psi1, psi2)`` at every q in C order: the one per-q
+    loop of both sweeps.
+
+    Each result (a :class:`SpectralResult` or a :class:`ProblemData`; both
+    carry ``lambda0``, ``gap`` and ``e0``) has its gap checked against the
+    floor before the next q is solved (a gap below it suggests an
+    eigenvalue crossing), and a failure names its q.
+    """
+    results = []
     for q_tuple in family.q_points:
-        beta, _, _ = family.at(q_tuple)
-        try:
-            spectral = ground_state(family.grid, beta, tol=tol)
-        except GroundflowError as exc:
+        with _failing_at(q_tuple, "ground state"):
+            result = solve_at(*family.at(q_tuple))
+        if result.gap < _GAP_FLOOR:
             raise ConvergenceError(
-                f"ground state failed at q={q_tuple}: {exc}",
-                residual=getattr(exc, "residual", None),
-            ) from exc
-        _check_gap(spectral.gap, q_tuple)
-        lam.append(spectral.lambda0)
-        gaps.append(spectral.gap)
-        e0s.append(spectral.e0)
-    lam = np.asarray(lam)
-    first, second = _difference_tables(family, lam)
-    return SweepResult(
-        family=family,
-        q_points=family.q_points,
-        lambda0=lam,
-        gap=np.asarray(gaps),
-        e0=e0s,
-        first_differences=first,
-        second_differences=second,
-    )
+                f"spectral gap {result.gap!r} below {_GAP_FLOOR} at q={q_tuple}; "
+                "eigenvalue crossing suspected, sweep aborted"
+            )
+        results.append(result)
+    return results
 
 
 def _axis_fields_lipschitz(family: ParamFamily, fields, axis: int) -> float:
@@ -184,6 +189,42 @@ def _axis_fields_lipschitz(family: ParamFamily, fields, axis: int) -> float:
     step = float(family.q_axes[axis][1] - family.q_axes[axis][0])
     diffs = np.abs(np.diff(stack, axis=axis)) / step
     return float(diffs.max())
+
+
+def _sweep_result(family: ParamFamily, solved: list, u_stars=None) -> SweepResult:
+    """The sweep's tables from the per-q results of :func:`_spectral_sweep`
+    (and the attractors, when there are any)."""
+    lam = np.asarray([s.lambda0 for s in solved])
+    first, second = _difference_tables(family, lam)
+    lipschitz = None
+    if u_stars is not None:
+        lipschitz = {
+            axis: _axis_fields_lipschitz(family, u_stars, axis)
+            for axis in range(family.m)
+        }
+    return SweepResult(
+        family=family,
+        q_points=family.q_points,
+        lambda0=lam,
+        gap=np.asarray([s.gap for s in solved]),
+        e0=[s.e0 for s in solved],
+        first_differences=first,
+        second_differences=second,
+        u_star=u_stars,
+        lipschitz=lipschitz,
+    )
+
+
+def sweep_ground_state(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
+    """Ground state at every parameter point, plus difference tables.
+
+    Positivity and normalization pin the eigenvector sign at every q, so
+    no alignment between neighboring parameters is needed.
+    """
+    spectra = _spectral_sweep(
+        family, lambda beta, psi1, psi2: ground_state(family.grid, beta, tol=tol)
+    )
+    return _sweep_result(family, spectra)
 
 
 def smoothness_diagnostic(result: SweepResult, order: int) -> SmoothnessReport:
@@ -263,52 +304,14 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
-    problems: list[ProblemData] = []
-    for q_tuple in family.q_points:
-        beta, psi1, psi2 = family.at(q_tuple)
-        try:
-            p = build_problem(family.grid, beta, psi1, psi2, tol=tol)
-        except AdmissibilityError as exc:
-            raise AdmissibilityError(
-                f"admissibility fails first at q={q_tuple}", margin=exc.margin
-            ) from exc
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"ground state failed at q={q_tuple}: {exc}", residual=exc.residual
-            ) from exc
-        _check_gap(p.spectral.gap, q_tuple)
-        problems.append(p)
-
+    problems = _spectral_sweep(family, partial(build_problem, family.grid, tol=tol))
     u_stars: list[ScalarField] = []
     previous: ScalarField | None = None
     for p, q_tuple in zip(problems, family.q_points):
-        try:
-            u_star = _newton_stationary(_start_field(p, previous), p, tol)
-        except GroundflowError as exc:
-            raise ConvergenceError(
-                f"attractor failed at q={q_tuple}: {exc}",
-                residual=getattr(exc, "residual", None),
-            ) from exc
-        u_stars.append(u_star)
-        previous = u_star
-
-    lam = np.asarray([p.spectral.lambda0 for p in problems])
-    first, second = _difference_tables(family, lam)
-    lipschitz = {
-        axis: _axis_fields_lipschitz(family, u_stars, axis)
-        for axis in range(family.m)
-    }
-    return SweepResult(
-        family=family,
-        q_points=family.q_points,
-        lambda0=lam,
-        gap=np.asarray([p.spectral.gap for p in problems]),
-        e0=[p.spectral.e0 for p in problems],
-        first_differences=first,
-        second_differences=second,
-        u_star=u_stars,
-        lipschitz=lipschitz,
-    )
+        with _failing_at(q_tuple, "attractor"):
+            previous = _newton_stationary(_start_field(p, previous), p, tol)
+        u_stars.append(previous)
+    return _sweep_result(family, problems, u_stars)
 
 
 def _start_field(p: ProblemData, previous: ScalarField | None) -> np.ndarray:

@@ -12,6 +12,14 @@ import pytest
 import groundflow
 from groundflow import cli, comparison, heatflow
 from groundflow.cli import _SCHEMAS, main, run
+from groundflow.errors import (
+    AdmissibilityError,
+    BasinError,
+    BlowdownError,
+    ConvergenceError,
+    PhaseSpaceExitError,
+    PositivityLossError,
+)
 from oracles import scalar_ode_reference
 
 TWO_PI = 2 * np.pi
@@ -431,6 +439,59 @@ def test_malformed_json(tmp_path):
     assert main([str(path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    # valid JSON of the wrong shape
+    '[{"subcommand": "roots"}]',
+    '"roots"',
+    '{"subcommand": ["roots"]}',
+    # no --out is given, so the output directory would come from "out"
+    '{"subcommand": "roots", "lambda0": 0.1, "psi1": 1.0, "psi2": 1.0, "out": 5}',
+    # literals that json.load accepts but JSON does not have
+    '{"subcommand": "phase", "beta": -1.0, "psi1": 1.0, "psi2": 1.0,'
+    ' "u0": 1.0, "v0": 0.0, "T": Infinity, "dt": 0.01}',
+    '{"subcommand": "roots", "lambda0": NaN, "psi1": 1.0, "psi2": 1.0}',
+    '{"subcommand": "roots", "lambda0": 0.1, "psi1": -Infinity, "psi2": 1.0}',
+    # a float literal that overflows to infinity
+    '{"subcommand": "roots", "lambda0": 1e400, "psi1": 1.0, "psi2": 1.0}',
+])
+def test_malformed_configs_are_config_errors(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("exc, numbers", [
+    (ConvergenceError("no root", residual=1e-3), {"residual": 1e-3}),
+    (AdmissibilityError("not admissible", margin=-0.5), {"margin": -0.5}),
+    (PositivityLossError("positivity lost", dt=2.0**-40, min_value=-3.25),
+     {"dt": 2.0**-40, "min_value": -3.25}),
+    (PositivityLossError("positivity lost", dt=0.5), {"dt": 0.5}),
+    (BasinError("left the basin", time=12.5, min_ratio=0.75),
+     {"time": 12.5, "min_ratio": 0.75}),
+    (PhaseSpaceExitError("orbit left", exit_time=7), {"exit_time": 7.0}),
+    (BlowdownError("escapes toward zero"), {}),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else "-".join(v))
+def test_failure_summary_carries_every_number(tmp_path, monkeypatch, exc, numbers):
+    def failing(cfg, out_dir):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "roots", failing)
+    code, _, summary = run_cli(
+        tmp_path, {"subcommand": "roots", "lambda0": 0.1, "psi1": 1.0, "psi2": 1.0}
+    )
+    assert code == 3
+    assert summary["subcommand"] == "roots"
+    error = summary["error"]
+    assert error.pop("type") == type(exc).__name__
+    assert error.pop("message") == str(exc)
+    assert error == numbers
+    assert all(type(v) is float for v in error.values())
+
+
 def test_numerical_failure_exit_code(tmp_path):
     cfg = {
         "subcommand": "attract",
@@ -506,6 +567,10 @@ def test_schemas_are_valid(sub):
     {"subcommand": "sweep", "grid": {"dims": [[1.0]]}, "q": {}, "beta": {},
      "psi1": {"const": 1}, "psi2": {"form": "tan"}},
     {"subcommand": "curvature", "mode": "warp", "v": {"const": 1, "b": 2}},
+    # a product's factors apply by position, so a factor takes no "axis"
+    {"subcommand": "ground-state", "grid": {"dims": [[1.0, 8], [1.0, 8]]},
+     "beta": {"form": "product", "factors": [
+         {"form": "cos", "a": -0.1, "b": 0.05, "k": 1, "axis": 1}, {"const": 1.0}]}},
 ])
 def test_config_errors_match_jsonschema_validate(tmp_path, config):
     with pytest.raises(jsonschema.ValidationError) as expected:

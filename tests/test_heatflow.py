@@ -356,18 +356,25 @@ def test_attractor_memory_flat_in_step_count():
 
 
 def test_replayed_distances_match_one_march():
+    # every trace column is pinned bit for bit against one march recorded
+    # here in full, not only the distances
     p = sine_problem(n=64)
+    e0 = p.e0.values
     u0 = ScalarField(p.grid, 7.0 * p.e0.values)
     u_star, trace = evolve_to_attractor(u0, p, tol=1e-9, t_max=400.0)
-    times, dists, u = [0.0], [float(np.max(np.abs(u0.values - u_star.values)))], None
+    times, states = [0.0], [u0.values]
     for t, (u,), _ in heatflow._march(p, [u0.values], 400.0):
         times.append(t)
-        dists.append(float(np.max(np.abs(u - u_star.values))))
+        states.append(u)
         if t == trace.times[-1]:
             break
-    assert np.array_equal(u, u_star.values)
+    assert np.array_equal(states[-1], u_star.values)
     assert np.array_equal(np.asarray(times), trace.times)
+    dists = [float(np.max(np.abs(u - u_star.values))) for u in states]
     assert np.array_equal(np.asarray(dists), trace.sup_distances)
+    assert np.array_equal([float(np.min(u / e0)) for u in states], trace.min_ratios)
+    assert np.array_equal([float(np.max(u / e0)) for u in states], trace.max_ratios)
+    assert trace.converged_at == times[-1] == trace.times[-1]
     assert trace.sup_distances[-1] == 0.0
 
 
