@@ -50,7 +50,6 @@ from .grid import (
     Grid,
     ScalarField,
     apply_laplacian,
-    laplacian_matrix,
     make_circle_grid,
     make_torus_grid,
 )

@@ -4,8 +4,8 @@ Usage: ``groundflow CONFIG.json [--out DIR]``.  The config selects a
 subcommand and its inputs; fields are built from a small declarative
 catalog (constants, a + b*sin(kx), a + b*cos(kx), per-axis products) so
 runs stay reproducible.  Exit codes: 0 success, 2 config error,
-3 numerical failure (with the reason, and the numbers the exception
-carries, recorded in summary.json).
+3 numerical failure or an allocation that cannot succeed (with the
+reason, and the numbers the exception carries, recorded in summary.json).
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def _validator(sub: str):
 
 
 def _parse_grid(spec) -> Grid:
-    return make_torus_grid([tuple(pair) for pair in spec["dims"]])
+    return make_torus_grid(spec["dims"])
 
 
 def _resolve_scalar(slot, q):
@@ -276,14 +276,6 @@ def _parse_field(spec, grid: Grid, q=None) -> ScalarField:
     return ScalarField(grid, np.broadcast_to(
         _one_axis_values(spec, mesh[axis], q), grid.shape
     ).ravel())
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _run_roots(cfg, out_dir):
@@ -337,6 +329,7 @@ def _run_attract(cfg, out_dir):
         ratio = cfg.get("u0_ratio", 0.5 * (y1m + p.profile_plus.y1))
         u0 = ScalarField(grid, ratio * p.e0.values)
     epsilon = cfg.get("epsilon", 0.5 * (y1m - y3m))
+    decay_rate_mu(epsilon, p.profile_minus)  # rejects epsilon before the flow
     tol = cfg.get("tol", 1e-8)
     u_star, trace = evolve_to_attractor(
         u0, p, tol=tol, t_max=cfg.get("t_max", 5000.0)
@@ -511,16 +504,20 @@ def run(config: dict, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         summary, code = _RUNNERS[sub](config, out_dir), 0
-    except GroundflowError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
+    except (GroundflowError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError for an allocation
+        # that cannot succeed, so the summary names the builtin
+        oom = isinstance(exc, MemoryError)
+        numbers = {} if oom else exc.numbers
+        error = {"type": "MemoryError" if oom else type(exc).__name__}
+        error["message"] = str(exc)
         error.update(
-            (name, float(value)) for name, value in exc.numbers.items()
-            if value is not None
+            (name, float(value)) for name, value in numbers.items() if value is not None
         )
         summary, code = {"error": error}, 3
     summary = {"schema": SCHEMA_VERSION, "subcommand": sub, **summary}
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return code
 
@@ -534,6 +531,12 @@ def _finite_float(text):
     return value
 
 
+def _finite_int(text):
+    """``json.load`` hook for integer literals: only those a float can hold pass."""
+    _finite_float(text)
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="groundflow",
@@ -545,7 +548,8 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(
-                fh, parse_float=_finite_float, parse_constant=_finite_float
+                fh, parse_float=_finite_float, parse_int=_finite_int,
+                parse_constant=_finite_float,
             )
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

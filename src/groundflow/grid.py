@@ -9,11 +9,10 @@ product, which the spectral and maximum-principle machinery downstream
 relies on.
 
 This module assembles the stencil's one matrix, :func:`laplacian_sparse`,
-which the SPD solver factors and :func:`laplacian_matrix` densifies for
-the oracles.  Applying the Laplacian stays matrix-free
-(:func:`laplacian_values`): it differences neighbours before it scales by
-``1/h**2``, which rounds more tightly than a sparse matvec that scales
-each neighbour first.
+which the SPD solver factors and the dense spectrum oracle densifies.
+Applying the Laplacian stays matrix-free (:func:`laplacian_values`): it
+differences neighbours before it scales by ``1/h**2``, which rounds more
+tightly than a sparse matvec that scales each neighbour first.
 """
 
 from __future__ import annotations
@@ -33,17 +32,21 @@ MIN_POINTS = 4
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic uniform grid; ``dims`` is a tuple of (length, points) pairs."""
+    """Periodic uniform grid; ``dims`` is 1 to MAX_DIMS (length, points) pairs."""
 
     dims: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
+        if not 1 <= len(self.dims) <= MAX_DIMS:
+            raise ValueError(f"need 1 to {MAX_DIMS} dimensions, got {len(self.dims)}")
         norm = []
         for d, (length, points) in enumerate(self.dims):
             length = float(length)
-            points = int(points)
             if not np.isfinite(length) or length <= 0.0:
                 raise ValueError(f"dim {d}: length must be positive, got {length}")
+            if points % 1 != 0:
+                raise ValueError(f"dim {d}: point count must be whole, got {points}")
+            points = int(points)
             if points < MIN_POINTS:
                 raise ValueError(
                     f"dim {d}: need at least {MIN_POINTS} points, got {points}"
@@ -130,17 +133,12 @@ class ScalarField:
 
 def make_circle_grid(length: float, points: int) -> Grid:
     """One-dimensional periodic grid of the given circumference."""
-    return Grid(((float(length), int(points)),))
+    return Grid(((length, points),))
 
 
 def make_torus_grid(dims) -> Grid:
     """Tensor-product periodic grid from a list of (length, points) pairs."""
-    dims = tuple((float(length), int(points)) for length, points in dims)
-    if not dims:
-        raise ValueError("torus grid needs at least one dimension")
-    if len(dims) > MAX_DIMS:
-        raise ValueError(f"at most {MAX_DIMS} dimensions supported, got {len(dims)}")
-    return Grid(dims)
+    return Grid(tuple(dims))
 
 
 def _check_same_grid(grid: Grid, f: ScalarField):
@@ -178,24 +176,18 @@ def apply_laplacian(grid: Grid, f: ScalarField, axes=None) -> ScalarField:
     return ScalarField(grid, laplacian_values(grid, f.values, axes=axes))
 
 
-def laplacian_sparse(grid: Grid, axes=None):
+@lru_cache(maxsize=8)
+def laplacian_sparse(grid: Grid):
     """Sparse stencil Laplacian in the C-order flattening of the grid.
 
     The one assembly of the stencil's matrix: the Kronecker sum of the
-    1-d cyclic second-difference matrices over ``axes`` (all axes when
-    None).  It is built once per ``(grid, axes)`` and shared by every
-    caller, so its arrays are read-only.
+    1-d cyclic second-difference matrices over the grid's axes.  It is
+    built once per grid and shared by every caller, so its arrays are
+    read-only.
     """
-    return _laplacian_sparse(
-        grid, tuple(range(grid.ndim)) if axes is None else tuple(axes)
-    )
-
-
-@lru_cache(maxsize=8)
-def _laplacian_sparse(grid: Grid, axes: tuple[int, ...]):
     n = grid.total_points
     lap = sp.csc_matrix((n, n))
-    for ax in axes:
+    for ax in range(grid.ndim):
         points, h = grid.points[ax], grid.spacings[ax]
         w = 1.0 / (h * h)
         second_difference = sp.diags(
@@ -209,16 +201,3 @@ def _laplacian_sparse(grid: Grid, axes: tuple[int, ...]):
     for arr in (lap.data, lap.indices, lap.indptr):
         arr.flags.writeable = False
     return lap
-
-
-def laplacian_matrix(grid: Grid, axes=None) -> np.ndarray:
-    """Dense symmetric matrix representing :func:`apply_laplacian`.
-
-    The dense copy of :func:`laplacian_sparse`, capped at ``DENSE_CAP``
-    total points; intended as the oracle backend for spectral
-    computations and tests.
-    """
-    n = grid.total_points
-    if n > DENSE_CAP:
-        raise ValueError(f"dense Laplacian capped at {DENSE_CAP} points, got {n}")
-    return laplacian_sparse(grid, axes).toarray()

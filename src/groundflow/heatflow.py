@@ -566,13 +566,10 @@ def certify_exponential_bound(
     e0 = p.e0.values
     delta_inv = float(e0.max() / e0.min())
     d0 = float(trace.sup_distances[0])
-    if d0 == 0.0:
-        return ExponentialBoundReport(
-            mu=mu, delta_inv=delta_inv, initial_distance=0.0,
-            max_ratio=0.0, passed=True,
-        )
-    bound = delta_inv * np.exp(-mu * trace.times) * d0
-    max_ratio = float(np.max(trace.sup_distances / bound))
+    max_ratio = 0.0
+    if d0 != 0.0:
+        bound = delta_inv * np.exp(-mu * trace.times) * d0
+        max_ratio = float(np.max(trace.sup_distances / bound))
     return ExponentialBoundReport(
         mu=mu,
         delta_inv=delta_inv,

@@ -33,8 +33,8 @@ from .grid import (
     Grid,
     ScalarField,
     _check_same_grid,
-    laplacian_matrix,
     laplacian_round_off,
+    laplacian_sparse,
     laplacian_values,
 )
 
@@ -220,6 +220,6 @@ def spectrum_oracle(grid: Grid, beta: ScalarField, k: int) -> np.ndarray:
         raise ValueError(f"dense spectrum capped at {DENSE_CAP} points, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    mat = -laplacian_matrix(grid) - np.diag(beta.values)
+    mat = -laplacian_sparse(grid).toarray() - np.diag(beta.values)
     vals = scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, k - 1])
     return np.asarray(vals)

@@ -152,30 +152,32 @@ def test_warp_repeats_across_processes(tmp_path):
 
 
 def test_attract_subcommand(tmp_path):
-    cfg = {
+    base = {
         "subcommand": "attract",
         "grid": {"dims": [[TWO_PI, 64]]},
         "beta": {"const": -0.1},
         "psi1": {"const": 1.0},
         "psi2": {"const": 1.0},
-        "u0_ratio": 5.0,
         "tol": 1e-9,
         "tol_h": 1e-5,
     }
-    code, out_dir, summary = run_cli(tmp_path, cfg)
-    assert code == 0
-    assert summary["sandwich"]["passed"] is True
-    assert summary["exponential_bound"]["passed"] is True
-    assert summary["residual"] < 1e-8
-    assert summary["converged_at"] is not None
-    # every flag is backed by numbers in the same report
-    assert {"min_ratio", "max_ratio", "tol_h", "passed"} <= set(summary["sandwich"])
-    assert {"mu", "delta_inv", "max_ratio", "passed"} <= set(
-        summary["exponential_bound"]
-    )
-    lines = (out_dir / "trace.csv").read_text().splitlines()
-    assert lines[0] == "t,sup_distance,min_ratio,max_ratio"
-    assert len(lines) > 2
+    # an explicit u0 field, 4.3 to 5.8 times e0, lies in the basin as u0_ratio does
+    starts = [{"u0_ratio": 5.0}, {"u0": {"form": "cos", "a": 2.0, "b": 0.3, "k": 1}}]
+    for i, start in enumerate(starts):
+        code, out_dir, summary = run_cli(tmp_path, {**base, **start}, out=f"out{i}")
+        assert code == 0
+        assert summary["sandwich"]["passed"] is True
+        assert summary["exponential_bound"]["passed"] is True
+        assert summary["residual"] < 1e-8
+        assert summary["converged_at"] is not None
+        # every flag is backed by numbers in the same report
+        assert {"min_ratio", "max_ratio", "tol_h", "passed"} <= set(summary["sandwich"])
+        assert {"mu", "delta_inv", "max_ratio", "passed"} <= set(
+            summary["exponential_bound"]
+        )
+        lines = (out_dir / "trace.csv").read_text().splitlines()
+        assert lines[0] == "t,sup_distance,min_ratio,max_ratio"
+        assert len(lines) > 2
 
 
 @pytest.mark.parametrize(
@@ -261,6 +263,11 @@ def test_ode_flow_requires_negative_beta(tmp_path):
     }
     code, _, _ = run_cli(tmp_path, cfg)
     assert code == 2
+    # and a horizon: y0 without T is a config error too
+    del cfg["T"]
+    code, _, summary = run_cli(tmp_path, {**cfg, "beta": -1.0})
+    assert code == 2
+    assert summary is None
 
 
 def test_phase_subcommand(tmp_path):
@@ -380,6 +387,24 @@ def test_product_field_wrong_factor_count(tmp_path):
     assert code == 2
 
 
+def test_attract_checks_epsilon_before_the_flow(tmp_path, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the flow ran before epsilon was checked")
+
+    monkeypatch.setattr(cli, "evolve_to_attractor", not_called)
+    cfg = {
+        "subcommand": "attract",
+        "grid": {"dims": [[TWO_PI, 64]]},
+        "beta": {"const": -0.1},
+        "psi1": {"const": 1.0},
+        "psi2": {"const": 1.0},
+        "epsilon": 100.0,
+    }
+    code, _, summary = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert summary is None
+
+
 def test_sweep_subcommand(tmp_path):
     cfg = {
         "subcommand": "sweep",
@@ -398,6 +423,17 @@ def test_sweep_subcommand(tmp_path):
     lines = (out_dir / "sweep.csv").read_text().splitlines()
     assert lines[0] == "q1,lambda0,gap,min_ratio,max_ratio"
     assert len(lines) == 6
+    assert "smoothness" not in summary
+    # from 9 q points on, the summary carries the Richardson smoothness test;
+    # beta = -1 + q cos x makes lambda0 vary with q, so the ratio is not degenerate
+    cfg["q"]["count"] = 9
+    cfg["beta"] = {"form": "cos", "a": -1.0, "b": {"base": 0.0, "slope": 1.0}, "k": 1}
+    code, _, summary = run_cli(tmp_path, cfg, out="out9")
+    assert code == 0
+    smooth = summary["smoothness"]
+    assert smooth["order"] == 2 and smooth["passed"] is True
+    assert smooth["ratio"] == pytest.approx(4.0, abs=0.1)
+    assert smooth["refinement_gap"] > 0.0
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-3])
@@ -453,6 +489,17 @@ def test_malformed_json(tmp_path):
     '{"subcommand": "roots", "lambda0": 0.1, "psi1": -Infinity, "psi2": 1.0}',
     # a float literal that overflows to infinity
     '{"subcommand": "roots", "lambda0": 1e400, "psi1": 1.0, "psi2": 1.0}',
+    # integer literals too large for a float
+    pytest.param(
+        '{"subcommand": "roots", "lambda0": 1%s, "psi1": 1.0, "psi2": 1.0}'
+        % ("0" * 400),
+        id="lambda0-10**400",
+    ),
+    pytest.param(
+        '{"subcommand": "ground-state", "grid": {"dims": [[6.28, 1%s]]},'
+        ' "beta": {"const": 0.0}}' % ("0" * 400),
+        id="points-10**400",
+    ),
 ])
 def test_malformed_configs_are_config_errors(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)
@@ -533,6 +580,27 @@ def test_sweep_newton_failure_summary_carries_residual(tmp_path, monkeypatch):
     assert not (out_dir / "sweep.csv").exists()
 
 
+def test_impossible_allocation_is_a_numerical_failure(tmp_path, capsys):
+    # 1e15 RK4 steps: the orbit's arrays would take 7.11 PiB, more than the
+    # address space, so the allocation fails without touching memory
+    cfg = {
+        "subcommand": "phase",
+        "beta": -1.0,
+        "psi1": 1.0,
+        "psi2": 0.1,
+        "u0": 0.6,
+        "v0": 0.0,
+        "T": 1e12,
+        "dt": 1e-3,
+    }
+    code, _, summary = run_cli(tmp_path, cfg)
+    assert code == 3
+    assert set(summary["error"]) == {"type", "message"}
+    assert summary["error"]["type"] == "MemoryError"
+    assert "PiB" in summary["error"]["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_success_summary_bytes_are_pinned(tmp_path):
     # failure summaries gained numeric fields; success summaries keep their bytes
     code, out_dir, _ = run_cli(
@@ -582,14 +650,20 @@ def test_config_errors_match_jsonschema_validate(tmp_path, config):
     assert not any(tmp_path.iterdir())
 
 
-def test_semantic_grid_error(tmp_path):
-    cfg = {
-        "subcommand": "ground-state",
-        "grid": {"dims": [[TWO_PI, 3]]},
-        "beta": {"const": 0.0},
-    }
-    code, _, _ = run_cli(tmp_path, cfg)
-    assert code == 2
+def test_semantic_grid_error(tmp_path, capsys):
+    const = {"const": 0.0}
+    for dims, beta in [
+        ([[TWO_PI, 3]], const),
+        # a fractional point count is not truncated to 8
+        ([[TWO_PI, 8.5]], const),
+        # a one-axis field along an axis the grid does not have
+        ([[TWO_PI, 8]], {"form": "cos", "a": 0.0, "b": 1.0, "k": 1, "axis": 1}),
+    ]:
+        cfg = {"subcommand": "ground-state", "grid": {"dims": dims}, "beta": beta}
+        code, _, summary = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert summary is None
+        assert capsys.readouterr().err.startswith("config error")
 
 
 def test_out_dir_from_config(tmp_path, monkeypatch):

@@ -7,13 +7,15 @@ import scipy.linalg
 from groundflow import (
     ScalarField,
     ground_state,
-    laplacian_matrix,
     make_circle_grid,
     make_torus_grid,
     shift_for_positivity,
     spectrum_oracle,
 )
 from groundflow import _solve, schrodinger
+from groundflow.grid import DENSE_CAP
+
+from oracles import looped_laplacian_matrix
 
 TWO_PI = 2 * np.pi
 
@@ -59,7 +61,7 @@ def test_cosine_potential_matches_dense_oracle():
     beta = ScalarField.from_function(g, lambda x: 2 * np.cos(x))
     r = ground_state(g, beta, tol=1e-8)
     dense = scipy.linalg.eigh(
-        -laplacian_matrix(g) - np.diag(beta.values), eigvals_only=True
+        -looped_laplacian_matrix(g) - np.diag(beta.values), eigvals_only=True
     )
     assert abs(r.lambda0 - dense[0]) < 1e-10
     # Richardson: lambda0 converges at second order in h
@@ -99,7 +101,7 @@ def test_rayleigh_consistency():
     g = make_circle_grid(2 * np.pi, 64)
     beta = _trig_beta(rng, g)
     r = ground_state(g, beta)
-    op = -laplacian_matrix(g) - np.diag(beta.values)
+    op = -looped_laplacian_matrix(g) - np.diag(beta.values)
     for _ in range(100):
         f = rng.standard_normal(g.total_points)
         quotient = np.dot(f, op @ f) / np.dot(f, f)
@@ -148,6 +150,13 @@ def test_spectrum_oracle_validation():
     big = make_torus_grid([(1.0, 70), (1.0, 70)])
     with pytest.raises(ValueError):
         spectrum_oracle(big, ScalarField.constant(big, 0.0), 1)
+
+
+def test_dense_cap_enforced():
+    # a grid of DENSE_CAP points is served: see the 4096-point gap test below
+    over = make_circle_grid(1.0, DENSE_CAP + 1)
+    with pytest.raises(ValueError, match="capped"):
+        spectrum_oracle(over, ScalarField.constant(over, 0.0), 1)
 
 
 def test_tolerance_validation():
