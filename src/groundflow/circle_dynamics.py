@@ -91,7 +91,7 @@ def integrate_orbit(
     """Classical RK4 orbit on [0, T] with energy-drift bookkeeping.
 
     Raises :class:`PhaseSpaceExitError` (carrying the exit time) if any
-    stage reaches u <= 0.
+    stage reaches u <= 0 or the force leaves float range.
     """
     if T <= 0.0 or dt <= 0.0:
         raise ValueError("T and dt must be positive")
@@ -105,39 +105,43 @@ def integrate_orbit(
     crossings_t: list[float] = []
     crossings_u: list[float] = []
     t = 0.0
-    for k in range(1, n_steps + 1):
-        h = min(dt, T - t)
+    try:
+        for k in range(1, n_steps + 1):
+            h = min(dt, T - t)
 
-        ku1 = v
-        kv1 = -_force(u, beta, psi1, psi2)
-        u2 = u + 0.5 * h * ku1
-        if u2 <= 0.0:
-            raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t)
-        ku2 = v + 0.5 * h * kv1
-        kv2 = -_force(u2, beta, psi1, psi2)
-        u3 = u + 0.5 * h * ku2
-        if u3 <= 0.0:
-            raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t)
-        ku3 = v + 0.5 * h * kv2
-        kv3 = -_force(u3, beta, psi1, psi2)
-        u4 = u + h * ku3
-        if u4 <= 0.0:
-            raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t)
-        ku4 = v + h * kv3
-        kv4 = -_force(u4, beta, psi1, psi2)
+            ku1 = v
+            kv1 = -_force(u, beta, psi1, psi2)
+            u2 = u + 0.5 * h * ku1
+            if u2 <= 0.0:
+                raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t)
+            ku2 = v + 0.5 * h * kv1
+            kv2 = -_force(u2, beta, psi1, psi2)
+            u3 = u + 0.5 * h * ku2
+            if u3 <= 0.0:
+                raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t)
+            ku3 = v + 0.5 * h * kv2
+            kv3 = -_force(u3, beta, psi1, psi2)
+            u4 = u + h * ku3
+            if u4 <= 0.0:
+                raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t)
+            ku4 = v + h * kv3
+            kv4 = -_force(u4, beta, psi1, psi2)
 
-        u_new = u + (h / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
-        v_new = v + (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-        t_new = t + h
-        if u_new <= 0.0 or not (math.isfinite(u_new) and math.isfinite(v_new)):
-            raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t_new)
-        # Poincare section v = 0, crossed upward (u at its sweep minimum)
-        if v < 0.0 <= v_new:
-            frac = -v / (v_new - v)
-            crossings_t.append(t + frac * h)
-            crossings_u.append(u + frac * (u_new - u))
-        u, v, t = u_new, v_new, t_new
-        times[k], us[k], vs[k] = t, u, v
+            u_new = u + (h / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
+            v_new = v + (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+            t_new = t + h
+            if u_new <= 0.0 or not (math.isfinite(u_new) and math.isfinite(v_new)):
+                raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t_new)
+            # Poincare section v = 0, crossed upward (u at its sweep minimum)
+            if v < 0.0 <= v_new:
+                frac = -v / (v_new - v)
+                crossings_t.append(t + frac * h)
+                crossings_u.append(u + frac * (u_new - u))
+            u, v, t = u_new, v_new, t_new
+            times[k], us[k], vs[k] = t, u, v
+    except ArithmeticError as exc:
+        # float ** and / raise where the force leaves float range
+        raise PhaseSpaceExitError("orbit force left float range", exit_time=t) from exc
 
     energies = hamiltonian_uv(us, vs, beta, psi1, psi2)
     drift = float(np.max(np.abs(energies - energies[0])))

@@ -179,10 +179,11 @@ _SCHEMAS = {
         v0=_NUMBER,
         T=_NUMBER,
         dt=_NUMBER,
+        # the phase plane is u > 0
         portrait=_object(
             ["u_min", "u_max", "nu", "v_min", "v_max", "nv"],
-            u_min=_NUMBER,
-            u_max=_NUMBER,
+            u_min={"type": "number", "exclusiveMinimum": 0},
+            u_max={"type": "number", "exclusiveMinimum": 0},
             nu={"type": "integer", "minimum": 2},
             v_min=_NUMBER,
             v_max=_NUMBER,
@@ -278,7 +279,7 @@ def _parse_field(spec, grid: Grid, q=None) -> ScalarField:
     ).ravel())
 
 
-def _run_roots(cfg, out_dir):
+def _run_roots(cfg):
     lam, psi1, psi2 = cfg["lambda0"], cfg["psi1"], cfg["psi2"]
     coeffs = ExtremaCoeffs(
         psi1_plus=psi1, psi1_minus=psi1, psi2_plus=psi2, psi2_minus=psi2
@@ -295,14 +296,13 @@ def _run_roots(cfg, out_dir):
             y1=profile.y1, y2=profile.y2, y3=profile.y3, y4=profile.y4,
             mu0=decay_rate_mu(0.0, profile),
         )
-    return summary
+    return summary, {}
 
 
-def _run_ground_state(cfg, out_dir):
+def _run_ground_state(cfg):
     grid = _parse_grid(cfg["grid"])
     beta = _parse_field(cfg["beta"], grid)
     result = ground_state(grid, beta, tol=cfg.get("tol", 1e-8))
-    cv.field_to_csv(result.e0, out_dir / "e0.csv")
     return {
         "lambda0": result.lambda0,
         "gap": result.gap,
@@ -310,10 +310,10 @@ def _run_ground_state(cfg, out_dir):
         "residual": result.residual,
         "e0_min": result.e0.min(),
         "e0_max": result.e0.max(),
-    }
+    }, {"e0.csv": functools.partial(cv.field_to_csv, result.e0)}
 
 
-def _run_attract(cfg, out_dir):
+def _run_attract(cfg):
     grid = _parse_grid(cfg["grid"])
     p = build_problem(
         grid,
@@ -322,7 +322,7 @@ def _run_attract(cfg, out_dir):
         _parse_field(cfg["psi2"], grid),
         tol=cfg.get("tol", 1e-8),
     )
-    y1m, y3m = p.profile_minus.y1, p.profile_minus.y3 or 0.0
+    y1m, y3m = p.profile_minus.y1, p.profile_minus.basin_edge
     if "u0" in cfg:
         u0 = _parse_field(cfg["u0"], grid)
     else:
@@ -336,7 +336,6 @@ def _run_attract(cfg, out_dir):
     )
     sandwich = certify_sandwich(u_star, p, tol_h=cfg.get("tol_h", 1e-3))
     bound = certify_exponential_bound(trace, p, epsilon)
-    trace_to_csv(trace, out_dir / "trace.csv")
     return {
         "lambda0": p.lambda0,
         "margin": check_admissible(p.lambda0, p.coeffs).margin,
@@ -353,10 +352,10 @@ def _run_attract(cfg, out_dir):
             "passed": sandwich.passed,
         },
         "exponential_bound": dataclasses.asdict(bound),
-    }
+    }, {"trace.csv": functools.partial(trace_to_csv, trace)}
 
 
-def _run_ode(cfg, out_dir):
+def _run_ode(cfg):
     beta, psi1, psi2 = cfg["beta"], cfg["psi1"], cfg["psi2"]
     points = classify_fixed_points(beta, psi1, psi2)
     summary = {
@@ -377,23 +376,22 @@ def _run_ode(cfg, out_dir):
             "terminal": float(traj.terminal),
             "target_y1": profile.y1,
         }
-    return summary
+    return summary, {}
 
 
-def _run_phase(cfg, out_dir):
+def _run_phase(cfg):
     beta, psi1, psi2 = cfg["beta"], cfg["psi1"], cfg["psi2"]
     points = cd.fixed_points_and_types(beta, psi1, psi2)
     orbit = cd.integrate_orbit(
         cd.PlanarState(cfg["u0"], cfg["v0"]), beta, psi1, psi2, cfg["T"], cfg["dt"]
     )
-    cd.orbit_to_csv(orbit, out_dir / "orbit.csv")
+    tables = {"orbit.csv": functools.partial(cd.orbit_to_csv, orbit)}
     if "portrait" in cfg:
         pt = cfg["portrait"]
-        cd.portrait_to_csv(
-            beta, psi1, psi2,
+        tables["portrait.csv"] = functools.partial(
+            cd.portrait_to_csv, beta, psi1, psi2,
             np.linspace(pt["u_min"], pt["u_max"], pt["nu"]),
             np.linspace(pt["v_min"], pt["v_max"], pt["nv"]),
-            out_dir / "portrait.csv",
         )
     return {
         "fixed_points": [{"u": r, "type": k} for r, k in points],
@@ -401,7 +399,7 @@ def _run_phase(cfg, out_dir):
         "energy_drift": orbit.energy_drift,
         "closed": orbit.closed,
         "period": orbit.period,
-    }
+    }, tables
 
 
 def _require(cfg, keys, mode):
@@ -410,7 +408,7 @@ def _require(cfg, keys, mode):
         raise ConfigError(f"curvature mode {mode!r} requires keys {missing}")
 
 
-def _run_curvature(cfg, out_dir):
+def _run_curvature(cfg):
     mode = cfg["mode"]
     summary = {"mode": mode}
     if mode == "scaling":
@@ -418,7 +416,7 @@ def _run_curvature(cfg, out_dir):
         summary["value"] = cv.scaled_mixed_curvature(
             cfg["s_mix"], cfg["h_sq"], cfg["t_sq"], cfg["u_const"]
         )
-        return summary
+        return summary, {}
     _require(cfg, ["base_grid", "fiber_grid", "v"], mode)
     base = _parse_grid(cfg["base_grid"])
     fiber = _parse_grid(cfg["fiber_grid"])
@@ -427,25 +425,21 @@ def _run_curvature(cfg, out_dir):
     if mode == "twisted":
         _require(cfg, ["u"], mode)
         tp = cv.TwistedProduct(base, fiber, v, _parse_field(cfg["u"], product))
-        smix = cv.mixed_scalar_curvature(tp)
-        cv.field_to_csv(smix, out_dir / "field.csv")
-        summary.update(smix_min=smix.min(), smix_max=smix.max())
+        field = cv.mixed_scalar_curvature(tp)
+        summary.update(smix_min=field.min(), smix_max=field.max())
     else:
         tp = cv.TwistedProduct(base, fiber, v)
-        u, leaf_smix = cv.ground_state_warp(tp, tol=cfg.get("tol", 1e-8))
-        smix = cv.mixed_scalar_curvature(
-            cv.TwistedProduct(base, fiber, v, u)
-        )
+        field, leaf_smix = cv.ground_state_warp(tp, tol=cfg.get("tol", 1e-8))
+        smix = cv.mixed_scalar_curvature(cv.TwistedProduct(base, fiber, v, field))
         per_leaf = smix.values.reshape(base.total_points, fiber.total_points)
         oscillation = float(np.max(per_leaf.max(axis=0) - per_leaf.min(axis=0)))
-        cv.field_to_csv(u, out_dir / "field.csv")
         summary.update(
             leaf_smix=leaf_smix.tolist(), max_leaf_oscillation=oscillation
         )
-    return summary
+    return summary, {"field.csv": functools.partial(cv.field_to_csv, field)}
 
 
-def _run_sweep(cfg, out_dir):
+def _run_sweep(cfg):
     grid = _parse_grid(cfg["grid"])
     q = cfg["q"]
     axis = np.linspace(q["start"], q["stop"], q["count"])
@@ -461,7 +455,6 @@ def _run_sweep(cfg, out_dir):
         psi2_of_q=evaluator(cfg["psi2"]),
     )
     result = sweep_attractor(family, tol=cfg.get("tol", 1e-8))
-    sweep_to_csv(result, out_dir / "sweep.csv")
     summary = {
         "q": axis.tolist(),
         "lambda0": result.lambda0.tolist(),
@@ -477,10 +470,10 @@ def _run_sweep(cfg, out_dir):
             "refinement_gap": smooth.axes[0].refinement_gap,
             "passed": smooth.passed,
         }
-    return summary
+    return summary, {"sweep.csv": functools.partial(sweep_to_csv, result)}
 
 
-# each runner writes its tables into out_dir and returns its summary
+# each runner returns its summary and its tables: file name -> writer(path)
 _RUNNERS = {
     "roots": _run_roots,
     "ground-state": _run_ground_state,
@@ -501,9 +494,12 @@ def run(config: dict, out_dir: Path) -> int:
     error = jsonschema.exceptions.best_match(_validator(sub).iter_errors(config))
     if error is not None:
         raise error
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        summary, code = _RUNNERS[sub](config, out_dir), 0
+        summary, tables = _RUNNERS[sub](config)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in tables.items():
+            write(out_dir / name)
+        code = 0
     except (GroundflowError, MemoryError) as exc:
         # numpy raises a private subclass of MemoryError for an allocation
         # that cannot succeed, so the summary names the builtin
@@ -515,6 +511,7 @@ def run(config: dict, out_dir: Path) -> int:
             (name, float(value)) for name, value in numbers.items() if value is not None
         )
         summary, code = {"error": error}, 3
+        out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"schema": SCHEMA_VERSION, "subcommand": sub, **summary}
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)

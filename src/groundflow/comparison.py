@@ -55,6 +55,12 @@ class PhiProfile:
     y3: float | None
     y4: float | None
 
+    @property
+    def basin_edge(self) -> float:
+        """The ratio above which the flow is attracted to y1: y3, or 0 in
+        the monotone case, where every positive ratio is."""
+        return self.y3 if self.y3 is not None else 0.0
+
 
 @dataclass(frozen=True)
 class Admissibility:
@@ -215,8 +221,7 @@ def decay_rate_mu(sigma: float, profile: PhiProfile) -> float:
     shrunken basin).  The tests pin this closed form against the sampled
     supremum of the derivative over [y1 - sigma, infinity).
     """
-    y1 = profile.y1
-    y3 = profile.y3 if profile.y3 is not None else 0.0
+    y1, y3 = profile.y1, profile.basin_edge
     if not 0.0 <= sigma < y1 - y3:
         raise ValueError(
             f"sigma must lie in [0, y1 - y3) = [0, {y1 - y3!r}), got {sigma}"
@@ -358,13 +363,15 @@ def _label_equilibria(beta: float, psi1: float, psi2: float, labels):
     """``(root, label)`` per positive equilibrium, descending.
 
     ``labels`` names a negative, a positive and a zero slope of the force
-    ``beta*y + psi1/y - psi2/y**3`` at the root, whose derivative there is
-    ``beta - psi1/y**2 + 3*psi2/y**4``.
+    ``beta*y + psi1/y - psi2/y**3`` at the root.  Its derivative there,
+    ``beta - psi1/y**2 + 3*psi2/y**4``, is ``4*beta + 2*psi1/y**2`` by the
+    root equation ``psi2/y**4 = beta + psi1/y**2``; that form has no
+    fourth power, which underflows or overflows at extreme roots.
     """
     negative, positive, zero = labels
     result = []
     for root in positive_equilibria(beta, psi1, psi2):
-        slope = beta - psi1 / root**2 + 3.0 * psi2 / root**4
+        slope = 4.0 * beta + 2.0 * psi1 / root / root
         if slope < 0.0:
             result.append((root, negative))
         elif slope > 0.0:

@@ -133,9 +133,9 @@ def conformal_change_residual(
     """Sup-norm defect of the normal-conformal transformation law.
 
     Checks ``(S - S_tilde)*u = n*Lap_leaf(u) - 2*Hperp(u)
-    + h_sq*(1/u - u) - t_sq*(1/u^3 - u)`` with the normal mean-curvature
-    term carried as an explicit zero (the constructions here have
-    Hperp = 0 by arrangement).
+    + h_sq*(1/u - u) - t_sq*(1/u^3 - u)`` without the normal
+    mean-curvature term (the constructions here have Hperp = 0 by
+    arrangement).
     """
     for f in (s_mix, s_mix_tilde, u, h_sq, t_sq):
         if f.grid != grid:
@@ -144,10 +144,9 @@ def conformal_change_residual(
         raise ValueError("u must be strictly positive")
     uv = u.values
     lap_leaf = laplacian_values(grid, uv, axes=leaf_axes)
-    h_perp_u = np.zeros_like(uv)  # normal bundle mean curvature vanishes
+    # the -2*Hperp(u) term is absent: the normal bundle mean curvature vanishes
     rhs = (
         n_normal * lap_leaf
-        - 2.0 * h_perp_u
         + h_sq.values * (1.0 / uv - uv)
         - t_sq.values * (1.0 / uv**3 - uv)
     )

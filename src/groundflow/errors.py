@@ -60,7 +60,7 @@ class BasinError(GroundflowError):
 
 
 class PhaseSpaceExitError(GroundflowError):
-    """A planar orbit reached u <= 0 and left the half-plane phase space."""
+    """A planar orbit left the half-plane u > 0, or its force left float range."""
 
     def __init__(self, message, exit_time):
         super().__init__(f"{message} (exit_time={exit_time!r})", exit_time=exit_time)

@@ -17,8 +17,9 @@ tightly than a sparse matvec that scales each neighbour first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,17 +73,11 @@ class Grid:
 
     @property
     def total_points(self) -> int:
-        n = 1
-        for _, points in self.dims:
-            n *= points
-        return n
+        return math.prod(self.points)
 
     @property
     def cell_volume(self) -> float:
-        vol = 1.0
-        for h in self.spacings:
-            vol *= h
-        return vol
+        return math.prod(self.spacings)
 
     def coords(self) -> list[np.ndarray]:
         """Per-axis coordinate arrays (origin at 0, endpoint excluded)."""
@@ -185,19 +180,18 @@ def laplacian_sparse(grid: Grid):
     built once per grid and shared by every caller, so its arrays are
     read-only.
     """
-    n = grid.total_points
-    lap = sp.csc_matrix((n, n))
-    for ax in range(grid.ndim):
-        points, h = grid.points[ax], grid.spacings[ax]
+    second_differences = []
+    for points, h in zip(grid.points, grid.spacings):
         w = 1.0 / (h * h)
-        second_difference = sp.diags(
+        second_differences.append(sp.diags(
             [w, w, -2.0 * w, w, w], [1 - points, -1, 0, 1, points - 1],
             shape=(points, points),
-        )
-        before = int(np.prod(grid.points[:ax]))
-        after = int(np.prod(grid.points[ax + 1:]))
-        term = sp.kron(sp.identity(before), second_difference)
-        lap = lap + sp.kron(term, sp.identity(after))
+        ))
+    # kronsum(d, acc) = kron(I, d) + kron(acc, I), so each later axis varies
+    # fastest (C order); a 1-d grid never reaches kronsum, hence the tocsc
+    lap = reduce(
+        lambda acc, d: sp.kronsum(d, acc, format="csc"), second_differences
+    ).tocsc()
     for arr in (lap.data, lap.indices, lap.indptr):
         arr.flags.writeable = False
     return lap

@@ -148,12 +148,6 @@ def build_problem(
     when the computed lambda0 violates the positivity condition; beta is
     never shifted silently.
     """
-    for f in (beta, psi1, psi2):
-        _check_same_grid(grid, f)
-    if psi1.min() <= 0.0:
-        raise ValueError("psi1 must be strictly positive pointwise")
-    if psi2.min() < 0.0:
-        raise ValueError("psi2 must be nonnegative pointwise")
     spectral = ground_state(grid, beta, tol=min(tol, 1e-8))
     coeffs = extrema_coeffs(psi1, psi2, spectral.e0)
     adm = check_admissible(spectral.lambda0, coeffs)
@@ -184,8 +178,7 @@ def initial_condition_check(
     band since grid arithmetic cannot certify a strict inequality).
     """
     _check_same_grid(p.grid, u0)
-    y1m = p.profile_minus.y1
-    y3m = p.profile_minus.y3 if p.profile_minus.y3 is not None else 0.0
+    y1m, y3m = p.profile_minus.y1, p.profile_minus.basin_edge
     if not 0.0 < epsilon < y1m - y3m:
         raise ValueError(
             f"epsilon must lie in (0, y1_minus - y3_minus) = (0, {y1m - y3m!r})"
@@ -205,7 +198,7 @@ def initial_condition_check(
 def _in_basin(values: np.ndarray, p: ProblemData) -> bool:
     """``min(u/e0) > y3_minus`` past a round-off band: the one basin rule
     behind the flow's gate and the public membership report."""
-    y3m = p.profile_minus.y3 if p.profile_minus.y3 is not None else 0.0
+    y3m = p.profile_minus.basin_edge
     slack = _SLACK * max(1.0, abs(y3m))
     return float(np.min(values / p.e0.values)) > y3m + slack
 

@@ -96,3 +96,20 @@ def looped_laplacian_matrix(grid, axes=None):
                 neighbour[ax] = (index[ax] + step) % shape[ax]
                 mat[row, flat(neighbour)] += 1.0 / h**2
     return mat
+
+
+def rayleigh_quotient_longdouble(grid, beta_values, vector):
+    """Rayleigh quotient of ``vector`` for -L - beta, evaluated in np.longdouble.
+
+    The stencil is applied along each axis to an extended-precision copy,
+    dividing by the grid's float64 ``h**2``, so the operator is the one the
+    package applies and only the arithmetic is wider.  The quotient's error
+    is quadratic in the vector's, so it pins an eigenvalue to about the
+    extended format's precision.
+    """
+    v = np.asarray(vector, dtype=np.longdouble).reshape(grid.shape)
+    hv = -np.asarray(beta_values, dtype=np.longdouble).reshape(grid.shape) * v
+    for ax, h in enumerate(grid.spacings):
+        second_difference = np.roll(v, -1, axis=ax) - 2 * v + np.roll(v, 1, axis=ax)
+        hv -= second_difference / np.longdouble(h * h)
+    return np.sum(v * hv) / np.sum(v * v)

@@ -186,6 +186,16 @@ def test_orbit_exits_phase_space():
     assert err.value.exit_time > 0.0
 
 
+@pytest.mark.parametrize("u0, beta, psi1, psi2, dt", [
+    (1e-200, -1.0, 1.0, 1.0, 0.1),  # u**3 underflows to 0
+    (2.3e-72, 1e-12, 9.2, 9.4, 1.0),  # the first step flings u to where u**3 overflows
+])
+def test_orbit_force_out_of_float_range_exits_phase_space(u0, beta, psi1, psi2, dt):
+    with pytest.raises(PhaseSpaceExitError) as err:
+        integrate_orbit(PlanarState(u0, 0.0), beta, psi1, psi2, 1.0, dt)
+    assert err.value.exit_time == 0.0
+
+
 def test_time_reversal():
     s0 = PlanarState(1.3, 0.4)
     fwd = integrate_orbit(s0, -1.0, 2.0, 0.75, 7.0, 1e-3)

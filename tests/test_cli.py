@@ -523,7 +523,7 @@ def test_malformed_configs_are_config_errors(tmp_path, monkeypatch, capsys, text
     (BlowdownError("escapes toward zero"), {}),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else "-".join(v))
 def test_failure_summary_carries_every_number(tmp_path, monkeypatch, exc, numbers):
-    def failing(cfg, out_dir):
+    def failing(cfg):
         raise exc
 
     monkeypatch.setitem(cli._RUNNERS, "roots", failing)
@@ -664,6 +664,33 @@ def test_semantic_grid_error(tmp_path, capsys):
         assert code == 2
         assert summary is None
         assert capsys.readouterr().err.startswith("config error")
+
+
+_CIRCLE = {"dims": [[TWO_PI, 16]]}
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param({"subcommand": "attract", "grid": _CIRCLE, "beta": {"const": -0.1},
+                  "psi1": {"const": 1.0}, "psi2": {"const": 1.0}, "epsilon": 100.0},
+                 id="attract-epsilon"),
+    pytest.param({"subcommand": "ground-state", "grid": {"dims": [[TWO_PI, 8.5]]},
+                  "beta": {"const": 0.0}}, id="fractional-points"),
+    pytest.param({"subcommand": "ground-state", "grid": _CIRCLE,
+                  "beta": {"form": "cos", "a": 0.0, "b": 1.0, "k": 1, "axis": 1}},
+                 id="field-axis"),
+    pytest.param({"subcommand": "curvature", "mode": "twisted", "base_grid": _CIRCLE,
+                  "fiber_grid": _CIRCLE, "v": {"const": 1.0}}, id="twisted-without-u"),
+    pytest.param({"subcommand": "phase", "beta": -1.0, "psi1": 1.0, "psi2": 1.0,
+                  "u0": 1.0, "v0": 0.0, "T": 1.0, "dt": 0.1,
+                  "portrait": {"u_min": 0.0, "u_max": 2.0, "nu": 3,
+                               "v_min": -1.0, "v_max": 1.0, "nv": 3}},
+                 id="portrait-u-min-0"),
+])
+def test_config_error_leaves_no_output_directory(tmp_path, capsys, cfg):
+    code, out_dir, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out_dir.exists()
 
 
 def test_out_dir_from_config(tmp_path, monkeypatch):

@@ -1,0 +1,173 @@
+"""The CLI's failure contract on drawn configs.
+
+Every schema-valid config of ``roots``, ``ode``, ``phase``,
+``ground-state``, ``attract`` and ``curvature`` must exit 0, 2 or 3 and
+never escape ``main`` with an exception (a traceback at the command line).
+Exit 2 leaves no output directory; exits 0 and 3 write ``summary.json``.
+Warnings are not filtered, so a ``RuntimeWarning`` fails the test too.
+
+The draws are bounded so that no config can start a long run: at most 16
+points per axis and 2 axes per grid, every number in {0} or 1e-3 <= |x| <= 10,
+and at most 5000 RK4 steps per orbit.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from groundflow.cli import main
+
+_magnitude = st.floats(1e-3, 10.0)
+_negative = _magnitude.map(lambda x: -x)
+_number = st.one_of(st.just(0.0), _magnitude, _negative)
+
+
+def _usually(valid, other=_number):
+    """``valid`` 7 times in 8, else ``other``: configs that pass the semantic
+    checks reach the numerics, the rest test the config errors."""
+    return st.sampled_from([valid] * 7 + [other]).flatmap(lambda s: s)
+
+
+def _put(draw, cfg, key, strategy, usually=False):
+    """Set ``cfg[key]`` from ``strategy`` 1 time in 4, or ``usually`` 7 in 8."""
+    if draw(st.sampled_from(range(8))) < (7 if usually else 2):
+        cfg[key] = draw(strategy)
+
+
+_tol = _usually(st.sampled_from([1e-10, 1e-8]))
+_points = _usually(st.integers(4, 16), st.one_of(st.integers(1, 3), st.just(8.5)))
+_grid = st.fixed_dictionaries({"dims": st.lists(
+    st.tuples(_usually(_magnitude), _points), min_size=1, max_size=2
+)})
+
+
+@st.composite
+def _wave(draw, a=_number, b=_number, axis=True):
+    wave = {"form": draw(st.sampled_from(["sin", "cos"])), "a": draw(a), "b": draw(b),
+            "k": draw(st.integers(0, 3))}
+    if axis and draw(st.sampled_from(range(4))) == 0:
+        wave["axis"] = draw(st.integers(0, 2))
+    return wave
+
+
+def _field(const=_number, a=_number, b=_number):
+    """Constant, one-axis or product fields; ``a`` and ``b`` bound the waves."""
+    constant = st.builds(lambda c: {"const": c}, const)
+    return st.one_of(
+        constant,
+        _wave(a, b),
+        st.builds(lambda f: {"form": "product", "factors": f},
+                  st.lists(st.one_of(constant, _wave(a, b, axis=False)),
+                           min_size=1, max_size=3)),
+    )
+
+
+# waves a + b*sin(kx) with |b| < |a|, so the field keeps the sign of a; a
+# potential beta of at most 1 in size leaves most drawn problems admissible
+_small = st.one_of(st.just(0.0), st.floats(1e-3, 0.09), st.floats(-0.09, -1e-3))
+_positive_field = _usually(_field(_magnitude, st.floats(1.0, 10.0), _small), _field())
+_negative_field = _usually(
+    _field(st.floats(-1.0, -1e-3), st.floats(-1.0, -0.1), _small), _field()
+)
+
+
+@st.composite
+def _roots(draw):
+    return {"subcommand": "roots", "lambda0": draw(_usually(_magnitude)),
+            "psi1": draw(_usually(_magnitude)), "psi2": draw(_usually(_magnitude))}
+
+
+@st.composite
+def _ode(draw):
+    cfg = {"subcommand": "ode", "beta": draw(_usually(_negative)),
+           "psi1": draw(_usually(_magnitude)), "psi2": draw(_usually(_magnitude))}
+    for key in ("y0", "T"):
+        _put(draw, cfg, key, _usually(_magnitude), usually=True)
+    _put(draw, cfg, "dt", _usually(_magnitude))
+    return cfg
+
+
+@st.composite
+def _phase(draw):
+    cfg = {"subcommand": "phase", "beta": draw(_number), "v0": draw(_number)}
+    for key in ("psi1", "psi2", "u0", "T", "dt"):
+        cfg[key] = draw(_usually(_magnitude))
+    assume(cfg["dt"] <= 0.0 or cfg["T"] <= 5000 * cfg["dt"])
+    _put(draw, cfg, "portrait", st.fixed_dictionaries({
+        "u_min": _usually(_magnitude), "u_max": _usually(_magnitude),
+        "nu": st.integers(2, 16), "v_min": _number, "v_max": _number,
+        "nv": st.integers(2, 16),
+    }))
+    return cfg
+
+
+@st.composite
+def _ground_state(draw):
+    cfg = {"subcommand": "ground-state", "grid": draw(_grid), "beta": draw(_field())}
+    _put(draw, cfg, "tol", _tol)
+    return cfg
+
+
+@st.composite
+def _attract(draw):
+    cfg = {"subcommand": "attract", "grid": draw(_grid),
+           "beta": draw(_negative_field), "psi1": draw(_positive_field),
+           "psi2": draw(_positive_field)}
+    _put(draw, cfg, "u0", _positive_field)
+    for key in ("u0_ratio", "t_max", "epsilon"):
+        _put(draw, cfg, key, _usually(_magnitude))
+    for key in ("tol", "tol_h"):
+        _put(draw, cfg, key, _tol)
+    return cfg
+
+
+@st.composite
+def _curvature(draw):
+    cfg = {"subcommand": "curvature",
+           "mode": draw(st.sampled_from(["twisted", "warp", "scaling"]))}
+    for key in ("base_grid", "fiber_grid"):
+        _put(draw, cfg, key, _grid, usually=True)
+    for key in ("u", "v"):
+        _put(draw, cfg, key, _positive_field, usually=True)
+    for key in ("s_mix", "h_sq", "t_sq", "u_const"):
+        _put(draw, cfg, key, _usually(_magnitude), usually=True)
+    _put(draw, cfg, "tol", _tol)
+    return cfg
+
+
+_ORBIT = {"subcommand": "phase", "beta": -1.0, "psi1": 1.0, "psi2": 1.0, "v0": 0.0,
+          "T": 1.0}
+
+
+@settings(max_examples=150)
+@given(st.one_of(_roots(), _ode(), _phase(), _ground_state(), _attract(),
+                 _curvature()))
+# the slope of the force at a root of 1e-150 or 1e150 took its fourth power
+@example({"subcommand": "ode", "beta": -0.1, "psi1": 1.0, "psi2": 1e-300})
+@example({"subcommand": "ode", "beta": -1e-300, "psi1": 1.0, "psi2": 1.0})
+@example({**_ORBIT, "psi2": 1e-300, "u0": 1.0, "dt": 0.1})
+# the orbit's force divided by u**3 = 0, or overflowed u**3
+@example({**_ORBIT, "u0": 1e-200, "dt": 0.1})
+@example({**_ORBIT, "beta": 1e-12, "psi1": 9.2, "psi2": 9.4, "u0": 2.3e-72,
+          "dt": 1.0})
+def test_cli_exits_only_with_its_codes(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_dir = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([str(path), "--out", str(out_dir)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out_dir.exists()
+        else:
+            assert (out_dir / "summary.json").exists()

@@ -405,6 +405,20 @@ def test_classification_no_roots():
     assert classify_fixed_points(1.0, 1.0, 0.0) == []
 
 
+@pytest.mark.parametrize("beta, psi2, expected", [
+    # the inner root is 1e-150, whose fourth power underflows to 0
+    (-0.1, 1e-300, [(np.sqrt(10.0), "stable"), (1e-150, "unstable")]),
+    # the outer root is 1e150, whose fourth power overflows
+    (-1e-300, 1.0, [(1e150, "stable"), (1.0, "unstable")]),
+])
+def test_classification_at_extreme_roots(beta, psi2, expected):
+    pts = classify_fixed_points(beta, 1.0, psi2)
+    assert [label for _, label in pts] == [label for _, label in expected]
+    np.testing.assert_allclose(
+        [root for root, _ in pts], [root for root, _ in expected], rtol=1e-15
+    )
+
+
 # ------------------------------------------------------- geometric reduction
 
 

@@ -15,7 +15,7 @@ from groundflow import (
 from groundflow import _solve, schrodinger
 from groundflow.grid import DENSE_CAP
 
-from oracles import looped_laplacian_matrix
+from oracles import looped_laplacian_matrix, rayleigh_quotient_longdouble
 
 TWO_PI = 2 * np.pi
 
@@ -266,3 +266,18 @@ def test_shift_below_lambda0_needs_few_iterations():
     assert iterations <= 12
     assert mu < spectrum_oracle(g, beta, 1)[0]
     assert lam == pytest.approx(spectrum_oracle(g, beta, 1)[0], abs=1e-10)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+    reason="np.longdouble is float64 on this platform",
+)
+@pytest.mark.parametrize("n", [16384, 65536])
+def test_lambda0_matches_extended_precision_rayleigh_quotient(n):
+    # far past the dense oracle's cap, and far below its 1e-10 floor
+    grid = make_circle_grid(TWO_PI, n)
+    beta = ScalarField.from_function(grid, lambda x: -0.3 + 0.2 * np.cos(x))
+    result = ground_state(grid, beta)
+    quotient = rayleigh_quotient_longdouble(grid, beta.values, result.e0.values)
+    error = abs(np.longdouble(result.lambda0) - quotient)
+    assert error <= 1e-15 * max(1.0, abs(result.lambda0))
