@@ -21,7 +21,8 @@ warp's leaves share one factor whenever their potentials are equal, and
 the IMEX steps of the heat flow, which ask for their factor on every step,
 get it back while dt is unchanged.  The slot is emptied before a new
 factor is built, so callers that drop their old solver (the IMEX step on
-a dt change) still hold one factor only.
+a dt change) still hold one factor only; Newton's chord method keeps its
+own ``solve``, which holds its factor past the slot.
 """
 
 from __future__ import annotations

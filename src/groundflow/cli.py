@@ -485,7 +485,8 @@ _RUNNERS = {
 }
 
 
-def run(config: dict, out_dir: Path) -> int:
+def run(config: dict, out_dir: str | Path) -> int:
+    out_dir = Path(out_dir)
     sub = config.get("subcommand")
     if not isinstance(sub, str) or sub not in _RUNNERS:
         raise ConfigError(

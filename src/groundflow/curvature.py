@@ -17,7 +17,7 @@ import numpy as np
 
 from ._table import write_csv
 from .grid import Grid, ScalarField, laplacian_values, make_torus_grid
-from .schrodinger import _least_eigenpair
+from .schrodinger import _check_tol, _least_eigenpair, _unit_constant
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,14 @@ def ground_state_warp(tp: TwistedProduct, tol: float = 1e-8):
     ``-Lap_base - beta`` with ``beta = (p/n)*(Lap_fiber v)/v`` frozen on
     that leaf.  Returns the warp field together with the per-leaf
     curvature values ``n*lambda0(leaf)`` (one entry per fiber point).
+
+    A leaf whose frozen potential is exactly one constant c, as on every
+    leaf when v varies along the fiber only, has the exact ground state
+    lambda0 = -c with a constant eigenvector, since the stencil Laplacian
+    maps a constant to exactly 0; it gets that pair with no factor and no
+    iteration.  Every other leaf goes through shifted inverse iteration.
     """
+    _check_tol(tol)
     grid = tp.product_grid
     base_n = tp.base_grid.total_points
     fiber_n = tp.fiber_grid.total_points
@@ -100,10 +107,14 @@ def ground_state_warp(tp: TwistedProduct, tol: float = 1e-8):
     u_slices = np.empty((base_n, fiber_n))
     leaf_smix = np.empty(fiber_n)
     for j in range(fiber_n):
-        # only the eigenpair is used, so the gap estimate is skipped
-        lam, e0, *_ = _least_eigenpair(
-            tp.base_grid, ScalarField(tp.base_grid, beta_slices[:, j]), tol
-        )
+        beta_leaf = beta_slices[:, j]
+        if beta_leaf.min() == beta_leaf.max():
+            lam, e0 = -float(beta_leaf[0]), _unit_constant(tp.base_grid)
+        else:
+            # only the eigenpair is used, so the gap estimate is skipped
+            lam, e0, *_ = _least_eigenpair(
+                tp.base_grid, ScalarField(tp.base_grid, beta_leaf), tol
+            )
         u_slices[:, j] = e0
         leaf_smix[j] = tp.n * lam
     return ScalarField(grid, u_slices.ravel()), leaf_smix

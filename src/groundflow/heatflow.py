@@ -473,7 +473,9 @@ def certify_sandwich(
     )
 
 
-def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> ScalarField:
+def _newton_stationary(
+    u0_values: np.ndarray, p: ProblemData, tol: float, solve=None
+) -> tuple[ScalarField, object]:
     """The attractor as the stationary solution found by Newton's method.
 
     The attractor is the unique positive stationary solution in the
@@ -481,9 +483,12 @@ def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> Sca
     basin, so a stationary solution certified inside the sandwich is the
     attractor.  Newton is not globally convergent: ``u0_values`` must lie
     in the sandwich.  The Jacobian ``-L - beta + psi1/u**2 - 3*psi2/u**4``
-    (SPD at a stable attractor) is factored at the start and kept across
-    iterations (the chord method); it is refactored at the current iterate
-    only when a step fails to shrink to at most 1/4 of the previous one.
+    (SPD at a stable attractor) is factored at the start, unless a
+    ``solve`` of a nearby problem's Jacobian on the same grid is passed
+    in, and kept across iterations (the chord method); it is refactored
+    at the current iterate only when a step fails to shrink to at most
+    1/4 of the previous one, so a passed factor too far off to contract
+    is replaced after its second step.
     Each step is halved until the iterate stays positive, and iteration
     stops once the step is at most 1e-13 of max|u|.  The result is
     certified by positivity, a stationary residual within the flow's
@@ -492,11 +497,12 @@ def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> Sca
     ``1e-12*max(1, y1_plus)`` (for constant data the sandwich is a single
     ratio, which the computed u/e0 meets only to an ulp or so); any
     failure raises :class:`ConvergenceError` carrying the residual.
+    Returns ``(u_star, solve)``, ``solve`` being the factor last used, for
+    the next problem of a sweep.
     """
     grid = p.grid
     beta, psi1, psi2 = p.beta.values, p.psi1.values, p.psi2.values
     u = np.asarray(u0_values, dtype=float)
-    solve = None
     previous_step = np.inf
     for iteration in range(1, _NEWTON_MAX_ITERATIONS + 1):
         res = _residual_values(grid, u, beta, psi1, psi2)
@@ -533,7 +539,7 @@ def _newton_stationary(u0_values: np.ndarray, p: ProblemData, tol: float) -> Sca
     bound = _residual_bound(u, p, tol)
     if residual > bound or not certify_sandwich(u_star, p, slack).passed:
         raise _newton_failure("did not certify its root", u, p, iteration)
-    return u_star
+    return u_star, solve
 
 
 def _newton_failure(reason: str, u: np.ndarray, p: ProblemData, iterations: int):

@@ -9,8 +9,10 @@ q is found by Newton's method on the stationary equation, started inside
 the sandwich and certified there, rather than by marching the heat flow.
 Each q costs one factor of the shifted Schrodinger operator (inverse
 iteration shifted just below lambda0, then Lanczos for the gap on the same
-factor) and, as a rule, one Jacobian factor that Newton keeps across its
-iterations, refactoring only when its steps stop contracting.  Failures
+factor).  Newton keeps its Jacobian factor across its iterations and
+from one q to the next (the chord method), refactoring only when its
+steps stop contracting, so a sweep as a rule builds one Jacobian factor
+in all, at the price of a few more iterations per q.  Failures
 at a q are re-raised as :class:`ConvergenceError` naming the q and
 carrying the cause's residual.
 """
@@ -300,16 +302,20 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
     ``heatflow._newton_stationary``).  The first q starts from the
     midpoint ratio; each later q starts from the previous attractor with
     its ratio u/e0 clipped into the new sandwich, since Newton may fail
-    from starts far outside it.  ``tol`` must lie in (0, 1e-4].
+    from starts far outside it, and from the Jacobian factor the previous
+    q ended with.  ``tol`` must lie in (0, 1e-4].
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     problems = _spectral_sweep(family, partial(build_problem, family.grid, tol=tol))
     u_stars: list[ScalarField] = []
     previous: ScalarField | None = None
+    solve = None  # Newton's Jacobian factor, kept from one q to the next
     for p, q_tuple in zip(problems, family.q_points):
         with _failing_at(q_tuple, "attractor"):
-            previous = _newton_stationary(_start_field(p, previous), p, tol)
+            previous, solve = _newton_stationary(
+                _start_field(p, previous), p, tol, solve
+            )
         u_stars.append(previous)
     return _sweep_result(family, problems, u_stars)
 

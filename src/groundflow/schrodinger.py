@@ -80,6 +80,19 @@ def _weighted_norm(values: np.ndarray, vol: float) -> float:
     return float(np.sqrt(vol * np.dot(values, values)))
 
 
+def _unit_constant(grid: Grid) -> np.ndarray:
+    """The constant of unit discrete L2 norm: the ground state for constant
+    beta, and the start vector of inverse iteration."""
+    v = np.full(grid.total_points, 1.0)
+    v /= _weighted_norm(v, grid.cell_volume)
+    return v
+
+
+def _check_tol(tol: float):
+    if not 0.0 < tol <= 1e-6:
+        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
+
+
 def ground_state(grid: Grid, beta: ScalarField, tol: float = 1e-8) -> SpectralResult:
     """Ground state of -L - beta by shifted inverse iteration, with its gap.
 
@@ -117,24 +130,22 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
     two being the solver of H - mu and the shift, for further use.
     """
     _check_same_grid(grid, beta)
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
+    _check_tol(tol)
     vol = grid.cell_volume
     b = beta.values
     b_max, delta = _shift_parts(b)
     mu = -b_max - delta
     if float(b.min()) == b_max:
         # H - mu is -L + delta exactly; -b - mu would land within a few ulps
-        # of delta, differently for each constant, so the curvature warp's
-        # constant leaf potentials would not share one memoized factor
+        # of delta, differently for each constant, so ground states of
+        # different constant potentials would not share one memoized factor
         diag = np.full_like(b, delta)
     else:
         diag = -b - mu
     solve = spd_solver(grid, 1.0, diag)
     round_off = laplacian_round_off(grid)
 
-    v = np.full(grid.total_points, 1.0)
-    v /= _weighted_norm(v, vol)
+    v = _unit_constant(grid)
     lam = np.inf
     residual = np.inf
     iterations = 0

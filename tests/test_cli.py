@@ -650,6 +650,15 @@ def test_config_errors_match_jsonschema_validate(tmp_path, config):
     assert not any(tmp_path.iterdir())
 
 
+def test_run_accepts_a_str_output_directory(tmp_path):
+    # the directory is made only after the runner returns, so a str path
+    # must work there too, not only at the start
+    out = tmp_path / "out"
+    config = {"subcommand": "roots", "lambda0": 0.1, "psi1": 1.0, "psi2": 1.0}
+    assert run(config, str(out)) == 0
+    assert json.loads((out / "summary.json").read_text())["admissible"] is True
+
+
 def test_semantic_grid_error(tmp_path, capsys):
     const = {"const": 0.0}
     for dims, beta in [

@@ -139,11 +139,11 @@ def test_warp_leaves_equal_ground_state_bitwise():
 
 
 def test_warp_factors_once_per_distinct_leaf_operator(factor_count):
-    # a fiber-only v freezes a constant potential on every leaf, so every
-    # leaf operator is -L + 0.01 and one factor serves all 16 leaves
+    # a fiber-only v freezes a constant potential on every leaf, whose
+    # ground state is exact, so no leaf needs a factor
     base, fiber, _, v = product_fields(32, 16, lambda x, y: 2.0 + np.cos(y))
     ground_state_warp(TwistedProduct(base, fiber, v))
-    assert len(factor_count) == 1
+    assert len(factor_count) == 0
     # with v depending on both factors no two neighbouring leaves agree
     factor_count.clear()
     base, fiber, _, v = product_fields(
@@ -151,6 +151,31 @@ def test_warp_factors_once_per_distinct_leaf_operator(factor_count):
     )
     ground_state_warp(TwistedProduct(base, fiber, v))
     assert len(factor_count) == 16
+
+
+def test_warp_constant_leaves_get_the_exact_ground_state():
+    base, fiber, product, v = product_fields(32, 16, lambda x, y: 2.0 + np.cos(y))
+    tp = TwistedProduct(base, fiber, v)
+    u, leaf_smix = ground_state_warp(tp)
+    beta = (tp.p / tp.n) * laplacian_values(product, v.values, axes=tp.fiber_axes)
+    beta = (beta / v.values).reshape(32, 16)
+    assert np.all(beta.min(axis=0) == beta.max(axis=0))
+    c = beta[0]
+    assert np.array_equal(leaf_smix, -tp.n * c)
+    smix = mixed_scalar_curvature(TwistedProduct(base, fiber, v, u))
+    per_leaf = smix.values.reshape(32, 16)
+    assert np.max(per_leaf.max(axis=0) - per_leaf.min(axis=0)) == 0.0
+    for j in (0, 5, 8):
+        spectral = ground_state(base, ScalarField.constant(base, c[j]))
+        lam = leaf_smix[j] / tp.n
+        assert abs(lam - spectral.lambda0) <= 1e-15 * max(1.0, abs(spectral.lambda0))
+        assert np.max(np.abs(u.values.reshape(32, 16)[:, j] - spectral.e0.values)) <= 1e-14
+
+
+def test_warp_rejects_a_bad_tol_with_constant_leaves():
+    base, fiber, _, v = product_fields(8, 8, lambda x, y: 2.0 + np.cos(y))
+    with pytest.raises(ValueError, match="tol must lie"):
+        ground_state_warp(TwistedProduct(base, fiber, v), tol=1e-3)
 
 
 def test_warp_two_dimensional_base():

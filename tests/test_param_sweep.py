@@ -306,7 +306,7 @@ def _assert_newton_matches_flow(p, tol):
     starts = _sandwich_starts(p)
     flow, _ = evolve_to_attractor(ScalarField(p.grid, starts[1]), p, tol=tol)
     for start in starts:
-        u = _newton_stationary(start, p, tol)
+        u, _ = _newton_stationary(start, p, tol)
         assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
         assert stationary_residual(u, p) <= 10.0 * tol
 
@@ -347,7 +347,7 @@ def test_newton_on_16384_point_circle():
         tol=tol,
     )
     mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1)
-    u = _newton_stationary(mid * p.e0.values, p, tol)
+    u, _ = _newton_stationary(mid * p.e0.values, p, tol)
     assert stationary_residual(u, p) <= 10.0 * tol
     flow, _ = evolve_to_attractor(ScalarField(g, mid * p.e0.values), p, tol=tol)
     assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
@@ -410,9 +410,10 @@ def test_start_field_clips_warm_start_into_sandwich():
     assert np.all(ratio >= y1m * (1 - 1e-14)) and np.all(ratio <= y1p * (1 + 1e-14))
 
 
-def test_sweep_attractor_uses_newton_not_the_flow(monkeypatch):
+def torus_sweep_family():
+    """The sweep of the benchmark: 9 q on a 32x32 torus."""
     g = make_torus_grid([(2 * np.pi, 32), (2 * np.pi, 32)])
-    fam = ParamFamily(
+    return ParamFamily(
         grid=g,
         q_axes=(np.linspace(0.0, 0.2, 9),),
         beta_of_q=lambda q: ScalarField.from_function(
@@ -421,6 +422,10 @@ def test_sweep_attractor_uses_newton_not_the_flow(monkeypatch):
         psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
         psi2_of_q=lambda q: ScalarField.constant(g, 1.0),
     )
+
+
+def test_sweep_attractor_uses_newton_not_the_flow(monkeypatch):
+    fam = torus_sweep_family()
     factors = []
     factor = heatflow.spd_solver
 
@@ -446,3 +451,67 @@ def test_sweep_attractor_uses_newton_not_the_flow(monkeypatch):
     # Newton keeps its Jacobian factor; a refactor is the exception
     assert max(per_q) <= 2
     assert len(factors) == sum(per_q)
+
+
+def test_sweep_attractor_keeps_one_newton_factor_across_q(factor_count):
+    # one ground-state factor per q; Newton carries its Jacobian factor
+    # from q to q and refactors only when its steps stop contracting
+    sweep_attractor(torus_sweep_family(), tol=1e-9)
+    assert 9 + 1 <= len(factor_count) <= 9 + 2
+
+
+def _mid_start(p):
+    return 0.5 * (p.profile_minus.y1 + p.profile_plus.y1) * p.e0.values
+
+
+def _assert_same_root(u, fresh):
+    assert np.max(np.abs(u.values - fresh.values)) <= 1e-12 * np.max(fresh.values)
+
+
+def _torus_problem(b, tol):
+    g = make_torus_grid([(2 * np.pi, 32), (2 * np.pi, 32)])
+    return build_problem(
+        g,
+        ScalarField.from_function(g, lambda x, y: -0.1 + b * np.cos(x)),
+        ScalarField.constant(g, 1.0),
+        ScalarField.constant(g, 1.0),
+        tol=tol,
+    )
+
+
+@pytest.mark.parametrize("family", ["corollary", "torus"])
+def test_newton_carried_factor_matches_fresh_factor(family):
+    tol = 1e-9
+    if family == "corollary":
+        fam = corollary_family(n=64)
+        problems = [build_problem(fam.grid, *fam.at((q,)), tol=tol)
+                    for q in (0.1, 0.3, 0.5)]
+    else:
+        problems = [_torus_problem(b, tol) for b in (0.02, 0.04)]
+    solve = None
+    for p in problems:
+        fresh, _ = _newton_stationary(_mid_start(p), p, tol)
+        carried, solve = _newton_stationary(_mid_start(p), p, tol, solve)
+        _assert_same_root(carried, fresh)
+
+
+def test_newton_far_factor_still_certifies(factor_count):
+    tol = 1e-9
+    fam = corollary_family(n=64)
+    first, last = (build_problem(fam.grid, *fam.at((q,)), tol=tol) for q in (0.0, 0.5))
+    _, solve = _newton_stationary(_mid_start(first), first, tol)
+    fresh, _ = _newton_stationary(_mid_start(last), last, tol)
+    # the factor of q = 0 still contracts at q = 0.5: it is kept
+    factor_count.clear()
+    u, kept = _newton_stationary(_mid_start(last), last, tol, solve)
+    assert kept is solve and len(factor_count) == 0
+    _assert_same_root(u, fresh)
+    # a factor of another problem on the same grid, with lambda0 = 1 against
+    # about 0.05 here, does not contract: it is replaced and the root certifies
+    p = _cosine_circle_problem()
+    fresh, _ = _newton_stationary(_mid_start(p), p, tol)
+    factor_count.clear()
+    u, replaced = _newton_stationary(_mid_start(p), p, tol, solve)
+    assert replaced is not solve and len(factor_count) >= 1
+    _assert_same_root(u, fresh)
+    assert stationary_residual(u, p) <= 10.0 * tol
