@@ -106,10 +106,11 @@ def ground_state_warp(tp: TwistedProduct, tol: float = 1e-8):
     beta_slices = beta_vals.reshape(base_n, fiber_n)
     u_slices = np.empty((base_n, fiber_n))
     leaf_smix = np.empty(fiber_n)
+    constant = _unit_constant(tp.base_grid)
     for j in range(fiber_n):
         beta_leaf = beta_slices[:, j]
         if beta_leaf.min() == beta_leaf.max():
-            lam, e0 = -float(beta_leaf[0]), _unit_constant(tp.base_grid)
+            lam, e0 = -float(beta_leaf[0]), constant
         else:
             # only the eigenpair is used, so the gap estimate is skipped
             lam, e0, *_ = _least_eigenpair(

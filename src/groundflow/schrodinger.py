@@ -17,6 +17,18 @@ most 2*delta unless the floor binds.  The floor covers constant beta,
 where lambda0 = -max(beta) exactly.  Inverse iteration contracts by
 (lambda0 - mu)/(lambda1 - mu) per step, so the close shift takes a half
 to a quarter of the iterations of the unit shift below -max(beta).
+
+Where beta is constant along some torus axes, the problem is solved on the
+grid of the other axes.  An axis is dropped when every slice of beta across
+it equals the first one exactly, with no tolerance; at least one axis is
+kept, so a constant beta still goes through inverse iteration.  The full
+operator is then the Kronecker sum of the reduced one and -L on the
+dropped axes, so lambda0 and e0 (broadcast along the dropped axes) are the
+reduced ones, and lambda1 = min(reduced lambda1, lambda0 + nu) with nu the
+least nonzero level of -L on the dropped axes, min_d (4/h_d^2) sin^2(pi/N_d)
+(Horn & Johnson, Topics in Matrix Analysis, 1991, Thm 4.4.5).  The lifted
+pair's eigen-residual is recomputed on the full grid and held to inverse
+iteration's own target, which checks the reduction on every call.
 """
 
 from __future__ import annotations
@@ -99,9 +111,45 @@ def ground_state(grid: Grid, beta: ScalarField, tol: float = 1e-8) -> SpectralRe
     The least eigenpair comes from ``_least_eigenpair``; the next level is
     then found by Lanczos on the inverse of the same shifted factor with
     the ground state deflated, and the gap must be positive.
+
+    Both run on the grid of the axes along which beta varies (axis 0 when
+    it varies along none), with beta sliced at index 0 of the others; see
+    the module docstring.  The pair is lifted back as a broadcast along
+    the dropped axes, renormalized, and its eigen-residual recomputed on
+    the full grid, where it must meet inverse iteration's own target.
+    ``iterations`` counts the reduced solve's steps.
     """
-    lam, v, iterations, residual, solve, mu = _least_eigenpair(grid, beta, tol)
-    gap = _second_eigenvalue(solve, v, grid.cell_volume, mu) - lam
+    _check_same_grid(grid, beta)
+    values = beta.values.reshape(grid.shape)
+    kept = [
+        ax for ax in range(grid.ndim)
+        if not (values == values.take([0], axis=ax)).all()
+    ] or [0]
+    sub = Grid(tuple(grid.dims[ax] for ax in kept))
+    index = tuple(slice(None) if ax in kept else 0 for ax in range(grid.ndim))
+    lam, v, iterations, residual, solve, mu = _least_eigenpair(
+        sub, ScalarField(sub, values[index]), tol
+    )
+    gap = _second_eigenvalue(solve, v, sub.cell_volume, mu) - lam
+    if sub.ndim < grid.ndim:
+        # the least nonzero level of -L along the dropped axes
+        nu = min(
+            float(4.0 / h**2 * np.sin(np.pi / n) ** 2)
+            for ax, (h, n) in enumerate(zip(grid.spacings, grid.points))
+            if ax not in kept
+        )
+        gap = min(gap, nu)
+        lifted = [n if ax in kept else 1 for ax, n in enumerate(grid.points)]
+        v = np.broadcast_to(v.reshape(lifted), grid.shape).flatten()
+        v /= _weighted_norm(v, grid.cell_volume)
+        hv = -laplacian_values(grid, v) - beta.values * v
+        residual = _weighted_norm(hv - lam * v, grid.cell_volume)
+        if residual > _residual_target(grid, lam):
+            raise ConvergenceError(
+                f"lifted ground state misses the residual target on the full "
+                f"grid (residual={residual:.3e})",
+                residual=residual,
+            )
     if gap <= 0.0:
         raise ConvergenceError(
             f"nonpositive spectral gap estimate ({gap:.3e})", residual=residual
@@ -113,6 +161,11 @@ def ground_state(grid: Grid, beta: ScalarField, tol: float = 1e-8) -> SpectralRe
         iterations=iterations,
         residual=residual,
     )
+
+
+def _residual_target(grid: Grid, lam: float) -> float:
+    """0.5e-10 * max(1, |lambda0|), or the round-off of applying L if larger."""
+    return max(_RESIDUAL_FRACTION * max(1.0, abs(lam)), laplacian_round_off(grid))
 
 
 def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
@@ -143,7 +196,6 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
     else:
         diag = -b - mu
     solve = spd_solver(grid, 1.0, diag)
-    round_off = laplacian_round_off(grid)
 
     v = _unit_constant(grid)
     lam = np.inf
@@ -155,10 +207,9 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
         hw = -laplacian_values(grid, w) - b * w
         lam_new = vol * float(np.dot(w, hw))
         residual = _weighted_norm(hw - lam_new * w, vol)
-        target = max(_RESIDUAL_FRACTION * max(1.0, abs(lam_new)), round_off)
         converged = (
             abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
-            and residual <= target
+            and residual <= _residual_target(grid, lam_new)
         )
         v = w
         lam = lam_new

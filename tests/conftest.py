@@ -23,13 +23,14 @@ if settings is not None:
 
 @pytest.fixture
 def factor_count(monkeypatch):
-    """List that grows by one per SuperLU factor built, from an empty memo."""
+    """List that grows by the matrix shape of each SuperLU factor built,
+    from an empty memo."""
     built = []
     factor = _solve.splu
 
-    def counting(*args, **kwargs):
-        built.append(1)
-        return factor(*args, **kwargs)
+    def counting(mat, *args, **kwargs):
+        built.append(mat.shape)
+        return factor(mat, *args, **kwargs)
 
     monkeypatch.setattr(_solve, "splu", counting)
     monkeypatch.setattr(_solve, "_last", None)

@@ -1,14 +1,15 @@
 """The CLI's failure contract on drawn configs.
 
 Every schema-valid config of ``roots``, ``ode``, ``phase``,
-``ground-state``, ``attract`` and ``curvature`` must exit 0, 2 or 3 and
-never escape ``main`` with an exception (a traceback at the command line).
+``ground-state``, ``attract``, ``curvature`` and ``sweep`` must exit 0, 2
+or 3 and never escape ``main`` with an exception (a traceback at the
+command line).
 Exit 2 leaves no output directory; exits 0 and 3 write ``summary.json``.
 Warnings are not filtered, so a ``RuntimeWarning`` fails the test too.
 
 The draws are bounded so that no config can start a long run: at most 16
 points per axis and 2 axes per grid, every number in {0} or 1e-3 <= |x| <= 10,
-and at most 5000 RK4 steps per orbit.
+at most 5000 RK4 steps per orbit and at most 9 q per sweep.
 """
 
 import contextlib
@@ -143,13 +144,42 @@ def _curvature(draw):
     return cfg
 
 
+def _sloped(number):
+    """``number``, or half the time a ``{"base", "slope"}`` slot resolved at
+    each q of a sweep, with a slope below 0.1 in size."""
+    return st.one_of(number, st.fixed_dictionaries({"base": number, "slope": _small}))
+
+
+_sloped_positive_field = _usually(
+    _field(_sloped(_magnitude), _sloped(st.floats(1.0, 10.0)), _sloped(_small)),
+    _field(_sloped(_number), _sloped(_number), _sloped(_number)),
+)
+_sloped_negative_field = _usually(
+    _field(_sloped(st.floats(-1.0, -1e-3)), _sloped(st.floats(-1.0, -0.1)),
+           _sloped(_small)),
+    _field(_sloped(_number), _sloped(_number), _sloped(_number)),
+)
+
+
+@st.composite
+def _sweep(draw):
+    cfg = {"subcommand": "sweep", "grid": draw(_grid),
+           "q": {"start": draw(_usually(st.floats(0.0, 0.5))),
+                 "stop": draw(_usually(st.floats(0.6, 1.0))),
+                 "count": draw(_usually(st.integers(3, 9)))},
+           "beta": draw(_sloped_negative_field), "psi1": draw(_sloped_positive_field),
+           "psi2": draw(_sloped_positive_field)}
+    _put(draw, cfg, "tol", _tol)
+    return cfg
+
+
 _ORBIT = {"subcommand": "phase", "beta": -1.0, "psi1": 1.0, "psi2": 1.0, "v0": 0.0,
           "T": 1.0}
 
 
 @settings(max_examples=150)
 @given(st.one_of(_roots(), _ode(), _phase(), _ground_state(), _attract(),
-                 _curvature()))
+                 _curvature(), _sweep()))
 # the slope of the force at a root of 1e-150 or 1e150 took its fourth power
 @example({"subcommand": "ode", "beta": -0.1, "psi1": 1.0, "psi2": 1e-300})
 @example({"subcommand": "ode", "beta": -1e-300, "psi1": 1.0, "psi2": 1.0})

@@ -1,6 +1,7 @@
 """Property tests on drawn potentials and problems.
 
-Ground states on small circles and tori are checked against the dense
+Ground states on small circles and tori, among them tori whose potential
+is constant along some axes, are checked against the dense
 ``spectrum_oracle``, Newton's stationary solution against the heat flow's
 attractor, the flow's ordering, order cap and certificates on random
 ordered pairs, the decay rate's closed form against its sampled
@@ -83,9 +84,22 @@ def _torus_potential(draw):
     )
 
 
+def _reduced(g, beta):
+    """The grid of the axes along which beta varies (axis 0 if none) and beta
+    sliced at index 0 of the others: the problem ``ground_state`` solves."""
+    values = beta.values.reshape(g.shape)
+    kept = [ax for ax in range(g.ndim)
+            if np.any(values != np.take(values, [0], axis=ax))] or [0]
+    if len(kept) == g.ndim:
+        return g, beta
+    sub = make_torus_grid([g.dims[ax] for ax in kept])
+    index = tuple(slice(None) if ax in kept else 0 for ax in range(g.ndim))
+    return sub, ScalarField(sub, values[index])
+
+
 def _check_against_oracle(g, beta):
     lo = spectrum_oracle(g, beta, 2)
-    lam, _, _, _, _, mu = schrodinger._least_eigenpair(g, beta, 1e-8)
+    lam, _, _, _, _, mu = schrodinger._least_eigenpair(*_reduced(g, beta), 1e-8)
     assert mu < lo[0]
     r = ground_state(g, beta)
     assert r.lambda0 == lam
@@ -102,6 +116,51 @@ def test_circle_ground_state_matches_oracle(drawn):
 @given(_torus_potential())
 def test_torus_ground_state_matches_oracle(drawn):
     _check_against_oracle(*drawn)
+
+
+@st.composite
+def _reducible_torus_potential(draw):
+    """A 2-d or 3-d torus and a potential varying along a strict subset of
+    its axes.  Kept axes are 2 to 4pi long; the dropped ones are all long
+    (20 to 40), which puts their least level nu of -L below the reduced gap,
+    or all short (0.3 to 1), which puts it above."""
+    ndim = draw(st.sampled_from([2, 3]))
+    varying = draw(st.sets(st.integers(0, ndim - 1), max_size=ndim - 1))
+    kept = varying or {0}
+    long_dropped = draw(st.booleans())
+    dropped_length = st.floats(20.0, 40.0) if long_dropped else st.floats(0.3, 1.0)
+    dims = [(draw(st.floats(2.0, 2 * TWO_PI) if ax in kept else dropped_length),
+             draw(st.integers(4, 12))) for ax in range(ndim)]
+    g = make_torus_grid(dims)
+    values = np.full(g.shape, draw(_amplitude))
+    for ax, x in enumerate(g.meshgrid()):
+        if ax in varying:
+            phase = TWO_PI * x / dims[ax][0]
+            values += draw(_amplitude) * np.cos(phase) + draw(_amplitude) * np.sin(2 * phase)
+    return g, ScalarField(g, values), sorted(set(range(ndim)) - kept), long_dropped
+
+
+@settings(max_examples=12)
+@given(_reducible_torus_potential())
+def test_reducible_torus_ground_state_matches_oracle(drawn):
+    g, beta, dropped, long_dropped = drawn
+    sub, sub_beta = _reduced(g, beta)
+    r = ground_state(g, beta)
+    lo = spectrum_oracle(g, beta, 2)
+    assert abs(r.lambda0 - lo[0]) <= 1e-9 * max(1.0, abs(lo[0]))
+    gap = lo[1] - lo[0]
+    assert abs(r.gap - gap) <= 1e-9 * max(1.0, gap)
+    # both branches of lambda1 = min(reduced lambda1, lambda0 + nu)
+    reduced_lo = spectrum_oracle(sub, sub_beta, 2)
+    nu = min(4.0 / g.spacings[ax] ** 2 * np.sin(np.pi / g.points[ax]) ** 2
+             for ax in dropped)
+    assert (nu < reduced_lo[1] - reduced_lo[0]) == long_dropped
+    e0 = r.e0.values
+    assert e0.min() > 0.0
+    assert abs(np.sqrt(g.cell_volume * np.dot(e0, e0)) - 1.0) < 1e-12
+    e0 = e0.reshape(g.shape)
+    for ax in dropped:
+        assert np.array_equal(e0, np.broadcast_to(np.take(e0, [0], axis=ax), g.shape))
 
 
 @settings(max_examples=8)

@@ -257,6 +257,35 @@ def test_gap_spends_few_solves(monkeypatch):
     assert solves - r.iterations <= 40
 
 
+@pytest.mark.parametrize(
+    "beta_fn, shape",
+    [
+        (lambda x, y: -0.1 + 0.03 * np.cos(x), (32, 32)),
+        (lambda x, y: -0.1 + 0.03 * np.cos(y), (32, 32)),
+        (lambda x, y: -0.1 + 0.03 * np.cos(x) * np.cos(y), (1024, 1024)),
+    ],
+    ids=["cos-x", "cos-y", "cos-x-cos-y"],
+)
+def test_ground_state_factors_the_grid_of_the_varying_axes(
+    factor_count, beta_fn, shape
+):
+    g = make_torus_grid([(TWO_PI, 32), (TWO_PI, 32)])
+    ground_state(g, ScalarField.from_function(g, beta_fn))
+    assert factor_count == [shape]
+
+
+def test_constant_potential_keeps_one_axis(factor_count):
+    # no axis varies, yet axis 0 is kept, so inverse iteration still runs
+    g = make_torus_grid([(TWO_PI, 12), (1.0, 8), (3.0, 6)])
+    c = -0.25
+    r = ground_state(g, ScalarField.constant(g, c))
+    assert factor_count == [(12, 12)]
+    assert r.iterations >= 1
+    assert abs(r.lambda0 + c) <= 1e-9
+    lo = spectrum_oracle(g, ScalarField.constant(g, c), 2)
+    assert abs(r.gap - (lo[1] - lo[0])) <= 1e-9 * max(1.0, lo[1] - lo[0])
+
+
 def test_shift_below_lambda0_needs_few_iterations():
     # the shift sits within 2*(max(beta) - mean(beta)) of lambda0; the unit
     # shift below -max(beta) took 30 iterations here
