@@ -14,15 +14,10 @@ saves no solve time.  The Laplacian depends on the grid alone; ``grid``
 assembles it once per grid, and each factor only scales it and shifts its
 diagonal.
 
-The latest factor is kept in a one-slot memo keyed by the grid, the
-Laplacian coefficient and the bytes of the diagonal, so a caller asking
-again for the same operator gets the same solver back: the curvature
-warp's leaves share one factor whenever their potentials are equal, and
-the IMEX steps of the heat flow, which ask for their factor on every step,
-get it back while dt is unchanged.  The slot is emptied before a new
-factor is built, so callers that drop their old solver (the IMEX step on
-a dt change) still hold one factor only; Newton's chord method keeps its
-own ``solve``, which holds its factor past the slot.
+Every call builds a new factor and the module keeps none: a loop that
+reuses one factor across many solves (the IMEX steps of the heat flow
+while dt is unchanged, Newton's chord iterations) holds it itself, and
+drops it before it asks for the next.
 """
 
 from __future__ import annotations
@@ -33,17 +28,8 @@ from scipy.sparse.linalg import splu
 from .grid import Grid, laplacian_sparse
 
 
-_last = None  # (key, solve) of the latest factor
-
-
 def spd_solver(grid: Grid, lap_coeff: float, diag: np.ndarray):
     """Return a ``solve(b) -> x`` closure for the SPD operator above."""
-    global _last
-    diag = np.asarray(diag, dtype=float)
-    key = (grid, lap_coeff, diag.tobytes())
-    if _last is not None and _last[0] == key:
-        return _last[1]
-    _last = None  # free the old factor before building the next
     # scaling copies the data, so the shared Laplacian is never written;
     # the stencil holds every diagonal cell, so setdiag adds no entries
     mat = laplacian_sparse(grid) * -lap_coeff
@@ -55,5 +41,4 @@ def spd_solver(grid: Grid, lap_coeff: float, diag: np.ndarray):
     def solve(b):
         return factor.solve(b)
 
-    _last = (key, solve)
     return solve

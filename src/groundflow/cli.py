@@ -247,7 +247,10 @@ def _resolve_scalar(slot, q):
     return slot
 
 
-def _one_axis_values(spec, coord, q):
+def _one_axis_values(spec, grid: Grid, axis: int, q):
+    """``a + b*wave(k*x)`` along ``axis``, shaped to broadcast over the grid."""
+    shape = [-1 if ax == axis else 1 for ax in range(grid.ndim)]
+    coord = grid.coords()[axis].reshape(shape)
     a = _resolve_scalar(spec["a"], q)
     b = _resolve_scalar(spec["b"], q)
     wave = np.sin if spec["form"] == "sin" else np.cos
@@ -255,7 +258,6 @@ def _one_axis_values(spec, coord, q):
 
 
 def _parse_field(spec, grid: Grid, q=None) -> ScalarField:
-    mesh = grid.meshgrid()
     if "const" in spec:
         return ScalarField.constant(grid, _resolve_scalar(spec["const"], q))
     if spec["form"] == "product":
@@ -269,13 +271,13 @@ def _parse_field(spec, grid: Grid, q=None) -> ScalarField:
             if "const" in factor:
                 vals = vals * _resolve_scalar(factor["const"], q)
             else:
-                vals = vals * _one_axis_values(factor, mesh[axis], q)
+                vals = vals * _one_axis_values(factor, grid, axis, q)
         return ScalarField(grid, vals.ravel())
     axis = spec.get("axis", 0)
     if axis >= grid.ndim:
         raise ConfigError(f"field axis {axis} out of range for {grid.ndim}-d grid")
     return ScalarField(grid, np.broadcast_to(
-        _one_axis_values(spec, mesh[axis], q), grid.shape
+        _one_axis_values(spec, grid, axis, q), grid.shape
     ).ravel())
 
 

@@ -211,14 +211,15 @@ def _check_basin(values: np.ndarray, p: ProblemData, message: str, time: float):
         raise BasinError(message, time=time, min_ratio=min_ratio)
 
 
-def _imex_step(p: ProblemData, states: list[np.ndarray], dt: float):
+def _imex_step(p: ProblemData, states: list[np.ndarray], dt: float, held: dict):
     """One IMEX step of at most dt for every state, all with the same dt.
 
     Halves dt until every new state is positive and finite and returns
     ``(new_states, dt_used)``; raises :class:`PositivityLossError` when
-    halving maxes out.  The factor comes from :func:`spd_solver`, whose
-    one-slot memo returns the same solver while dt is unchanged and frees
-    the old factor before it builds one for a new dt.
+    halving maxes out.  ``held`` maps the dt of the last factor built to
+    its solver: the factor is reused while the attempted dt is unchanged,
+    and dropped before the one for a new dt is built, so at most one
+    factor is alive.  A run of steps passes the same ``held`` to each.
     """
     beta = p.beta.values
     beta_max = float(beta.max())
@@ -227,9 +228,10 @@ def _imex_step(p: ProblemData, states: list[np.ndarray], dt: float):
     for _ in range(_MAX_HALVINGS):
         # keep I - dt*(L + beta) positive definite
         if beta_max <= 0.0 or attempt * beta_max < 1.0:
-            solve = spd_solver(p.grid, attempt, 1.0 - attempt * beta)
-            new = [solve(v + attempt * n) for v, n in zip(states, nonlins)]
-            del solve  # a halved dt must not build its factor while this one lives
+            if attempt not in held:
+                held.clear()  # free the old factor before building the next
+                held[attempt] = spd_solver(p.grid, attempt, 1.0 - attempt * beta)
+            new = [held[attempt](v + attempt * n) for v, n in zip(states, nonlins)]
             if all(c.min() > 0.0 and np.all(np.isfinite(c)) for c in new):
                 return new, attempt
         attempt *= 0.5
@@ -247,7 +249,9 @@ def step(u: ScalarField, p: ProblemData, dt: float):
     Returns ``(u_new, dt_used)``; ``dt_used < dt`` means the requested
     step was rejected and a shorter one accepted.  Raises
     :class:`PositivityLossError` when halving maxes out (the state is
-    outside the basin of positive solutions).
+    outside the basin of positive solutions).  Each call factors
+    ``I - dt*(L + beta)`` anew; the adaptive and fixed-dt runs below keep
+    their factor from step to step instead.
     """
     _check_same_grid(p.grid, u)
     if u.min() <= 0.0:
@@ -256,7 +260,7 @@ def step(u: ScalarField, p: ProblemData, dt: float):
         raise ValueError("dt must be nonnegative")
     if dt == 0.0:
         return u, 0.0
-    (candidate,), dt_used = _imex_step(p, [u.values], dt)
+    (candidate,), dt_used = _imex_step(p, [u.values], dt, {})
     return ScalarField(p.grid, candidate), dt_used
 
 
@@ -301,14 +305,16 @@ def _march(p: ProblemData, states: list[np.ndarray], t_end: float):
     :func:`_dt_limits` over the states, each step is clipped to end at
     ``t_end``, a halved dt stays halved, and dt doubles every 50 accepted
     steps up to ``dt_max``.  The steps are deterministic: a second march
-    from the same states yields the same states bit for bit.
+    from the same states yields the same states bit for bit.  The march
+    holds one factor, built anew whenever the attempted dt changes.
     """
     dt, dt_max = _dt_limits(p, *states)
     t = 0.0
     accepted = 0
+    held = {}
     while t < t_end:
         attempt = min(dt, t_end - t)
-        states, dt_used = _imex_step(p, states, attempt)
+        states, dt_used = _imex_step(p, states, attempt, held)
         if dt_used < attempt:
             dt = dt_used
         t += dt_used
@@ -397,8 +403,9 @@ def evolve_fixed(u0: ScalarField, p: ProblemData, n_steps: int, dt: float):
     """
     _check_same_grid(p.grid, u0)
     u = u0.values
+    held = {}  # the one factor of I - dt*(L + beta), built on the first step
     for _ in range(n_steps):
-        (candidate,), dt_used = _imex_step(p, [u], dt)
+        (candidate,), dt_used = _imex_step(p, [u], dt, held)
         if dt_used != dt:
             raise PositivityLossError(
                 "fixed-dt step lost positivity", dt=dt, min_value=float(u.min())
@@ -474,8 +481,8 @@ def certify_sandwich(
 
 
 def _newton_stationary(
-    u0_values: np.ndarray, p: ProblemData, tol: float, solve=None
-) -> tuple[ScalarField, object]:
+    u0_values: np.ndarray, p: ProblemData, tol: float, held: dict | None = None
+) -> ScalarField:
     """The attractor as the stationary solution found by Newton's method.
 
     The attractor is the unique positive stationary solution in the
@@ -483,12 +490,14 @@ def _newton_stationary(
     basin, so a stationary solution certified inside the sandwich is the
     attractor.  Newton is not globally convergent: ``u0_values`` must lie
     in the sandwich.  The Jacobian ``-L - beta + psi1/u**2 - 3*psi2/u**4``
-    (SPD at a stable attractor) is factored at the start, unless a
-    ``solve`` of a nearby problem's Jacobian on the same grid is passed
-    in, and kept across iterations (the chord method); it is refactored
-    at the current iterate only when a step fails to shrink to at most
-    1/4 of the previous one, so a passed factor too far off to contract
-    is replaced after its second step.
+    (SPD at a stable attractor) is factored at the start and kept across
+    iterations (the chord method); it is refactored at the current
+    iterate only when a step fails to shrink to at most 1/4 of the
+    previous one.  ``held`` maps the grid to the solver of the factor in
+    use: a sweep passes one holder from problem to problem, so Newton
+    starts from the factor of a nearby problem on the same grid and
+    replaces it after its second step if it is too far off to contract.
+    A stale factor is dropped from ``held`` before the next is built.
     Each step is halved until the iterate stays positive, and iteration
     stops once the step is at most 1e-13 of max|u|.  The result is
     certified by positivity, a stationary residual within the flow's
@@ -497,23 +506,25 @@ def _newton_stationary(
     ``1e-12*max(1, y1_plus)`` (for constant data the sandwich is a single
     ratio, which the computed u/e0 meets only to an ulp or so); any
     failure raises :class:`ConvergenceError` carrying the residual.
-    Returns ``(u_star, solve)``, ``solve`` being the factor last used, for
-    the next problem of a sweep.
     """
+    held = {} if held is None else held
     grid = p.grid
     beta, psi1, psi2 = p.beta.values, p.psi1.values, p.psi2.values
     u = np.asarray(u0_values, dtype=float)
     previous_step = np.inf
     for iteration in range(1, _NEWTON_MAX_ITERATIONS + 1):
         res = _residual_values(grid, u, beta, psi1, psi2)
-        if solve is None:
+        if grid not in held:
+            held.clear()  # free the old factor before building the next
             try:
-                solve = spd_solver(grid, 1.0, psi1 / u**2 - 3.0 * psi2 / u**4 - beta)
+                held[grid] = spd_solver(
+                    grid, 1.0, psi1 / u**2 - 3.0 * psi2 / u**4 - beta
+                )
             except RuntimeError as exc:  # SuperLU: the factor is exactly singular
                 raise _newton_failure(
                     "hit a singular Jacobian", u, p, iteration
                 ) from exc
-        delta = solve(res)  # J delta = res, so the Newton step is -delta
+        delta = held[grid](res)  # J delta = res, so the Newton step is -delta
         if not np.all(np.isfinite(delta)):
             raise _newton_failure("produced a non-finite step", u, p, iteration)
         scale = 1.0
@@ -529,7 +540,7 @@ def _newton_stationary(
         if step <= _NEWTON_STEP_RTOL * float(u.max()):
             break
         if step > _CHORD_CONTRACTION * previous_step:
-            solve = None  # the kept factor has gone stale: refactor at u
+            held.clear()  # the kept factor has gone stale: refactor at u
         previous_step = step
     else:
         raise _newton_failure("did not converge", u, p, iteration)
@@ -539,7 +550,7 @@ def _newton_stationary(
     bound = _residual_bound(u, p, tol)
     if residual > bound or not certify_sandwich(u_star, p, slack).passed:
         raise _newton_failure("did not certify its root", u, p, iteration)
-    return u_star, solve
+    return u_star
 
 
 def _newton_failure(reason: str, u: np.ndarray, p: ProblemData, iterations: int):

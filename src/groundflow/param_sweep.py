@@ -12,7 +12,9 @@ iteration shifted just below lambda0, then Lanczos for the gap on the same
 factor).  Newton keeps its Jacobian factor across its iterations and
 from one q to the next (the chord method), refactoring only when its
 steps stop contracting, so a sweep as a rule builds one Jacobian factor
-in all, at the price of a few more iterations per q.  Failures
+in all, at the price of a few more iterations per q.  The sweep holds
+that factor in one place, and a stale one is freed before the next is
+built, so no two Jacobian factors are ever alive at once.  Failures
 at a q are re-raised as :class:`ConvergenceError` naming the q and
 carrying the cause's residual.
 """
@@ -303,18 +305,19 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
     midpoint ratio; each later q starts from the previous attractor with
     its ratio u/e0 clipped into the new sandwich, since Newton may fail
     from starts far outside it, and from the Jacobian factor the previous
-    q ended with.  ``tol`` must lie in (0, 1e-4].
+    q ended with: the sweep holds that one factor, and Newton drops it
+    before it builds another.  ``tol`` must lie in (0, 1e-4].
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     problems = _spectral_sweep(family, partial(build_problem, family.grid, tol=tol))
     u_stars: list[ScalarField] = []
     previous: ScalarField | None = None
-    solve = None  # Newton's Jacobian factor, kept from one q to the next
+    held = {}  # Newton's one Jacobian factor, kept from one q to the next
     for p, q_tuple in zip(problems, family.q_points):
         with _failing_at(q_tuple, "attractor"):
-            previous, solve = _newton_stationary(
-                _start_field(p, previous), p, tol, solve
+            previous = _newton_stationary(
+                _start_field(p, previous), p, tol, held
             )
         u_stars.append(previous)
     return _sweep_result(family, problems, u_stars)

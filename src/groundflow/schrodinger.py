@@ -188,14 +188,7 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
     b = beta.values
     b_max, delta = _shift_parts(b)
     mu = -b_max - delta
-    if float(b.min()) == b_max:
-        # H - mu is -L + delta exactly; -b - mu would land within a few ulps
-        # of delta, differently for each constant, so ground states of
-        # different constant potentials would not share one memoized factor
-        diag = np.full_like(b, delta)
-    else:
-        diag = -b - mu
-    solve = spd_solver(grid, 1.0, diag)
+    solve = spd_solver(grid, 1.0, -b - mu)
 
     v = _unit_constant(grid)
     lam = np.inf

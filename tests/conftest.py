@@ -23,8 +23,7 @@ if settings is not None:
 
 @pytest.fixture
 def factor_count(monkeypatch):
-    """List that grows by the matrix shape of each SuperLU factor built,
-    from an empty memo."""
+    """List that grows by the matrix shape of each SuperLU factor built."""
     built = []
     factor = _solve.splu
 
@@ -33,5 +32,4 @@ def factor_count(monkeypatch):
         return factor(mat, *args, **kwargs)
 
     monkeypatch.setattr(_solve, "splu", counting)
-    monkeypatch.setattr(_solve, "_last", None)
     return built

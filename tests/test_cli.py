@@ -136,8 +136,8 @@ def test_sweep_repeats_across_processes(tmp_path):
 
 
 def test_warp_repeats_across_processes(tmp_path):
-    # the leaves share one memoized factor: summary and field CSV must come
-    # out byte-identical in two fresh interpreters
+    # every leaf takes the exact constant-potential ground state: summary and
+    # field CSV must come out byte-identical in two fresh interpreters
     cfg = {
         "subcommand": "curvature",
         "mode": "warp",

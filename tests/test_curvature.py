@@ -144,7 +144,7 @@ def test_warp_factors_once_per_distinct_leaf_operator(factor_count):
     base, fiber, _, v = product_fields(32, 16, lambda x, y: 2.0 + np.cos(y))
     ground_state_warp(TwistedProduct(base, fiber, v))
     assert len(factor_count) == 0
-    # with v depending on both factors no two neighbouring leaves agree
+    # with v depending on both factors every leaf builds its own factor
     factor_count.clear()
     base, fiber, _, v = product_fields(
         32, 16, lambda x, y: 2.0 + 0.5 * np.sin(x) * np.cos(y)

@@ -309,10 +309,11 @@ def test_dt_limits_with_subnormal_psi2():
     assert stationary_residual(u_star, p) < 1e-8
 
 
-def test_attract_workload_step_count(monkeypatch):
+def test_attract_workload_step_count(monkeypatch, factor_count):
     # the benchmark's attract problem, where a start at h**2/4 takes 993
     # steps with 20 distinct dt
     p = sine_problem(n=2048, tol=1e-9)
+    factor_count.clear()
     passes = []
     march = heatflow._march
 
@@ -331,6 +332,9 @@ def test_attract_workload_step_count(monkeypatch):
     assert len(used) == len(trace.times) - 1 <= 120
     assert len(set(used)) <= 5
     assert replayed == used
+    # each pass holds one factor and builds a new one only when dt changes
+    runs = sum(1 + sum(a != b for a, b in zip(dts, dts[1:])) for dts in passes)
+    assert len(factor_count) == runs
     eps = 0.5 * (p.profile_minus.y1 - p.profile_minus.y3)
     assert certify_sandwich(u_star, p, tol_h=1e-5).passed
     assert certify_exponential_bound(trace, p, eps).passed

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from groundflow import (
     sweep_ground_state,
     sweep_to_csv,
 )
-from groundflow import heatflow, make_torus_grid, param_sweep, stationary_residual
+from groundflow import _solve, heatflow, make_torus_grid, param_sweep
+from groundflow import stationary_residual
 from groundflow.heatflow import _newton_stationary, build_problem, evolve_to_attractor
 
 
@@ -306,7 +309,7 @@ def _assert_newton_matches_flow(p, tol):
     starts = _sandwich_starts(p)
     flow, _ = evolve_to_attractor(ScalarField(p.grid, starts[1]), p, tol=tol)
     for start in starts:
-        u, _ = _newton_stationary(start, p, tol)
+        u = _newton_stationary(start, p, tol)
         assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
         assert stationary_residual(u, p) <= 10.0 * tol
 
@@ -347,7 +350,7 @@ def test_newton_on_16384_point_circle():
         tol=tol,
     )
     mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1)
-    u, _ = _newton_stationary(mid * p.e0.values, p, tol)
+    u = _newton_stationary(mid * p.e0.values, p, tol)
     assert stationary_residual(u, p) <= 10.0 * tol
     flow, _ = evolve_to_attractor(ScalarField(g, mid * p.e0.values), p, tol=tol)
     assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
@@ -491,10 +494,10 @@ def test_newton_carried_factor_matches_fresh_factor(family):
                     for q in (0.1, 0.3, 0.5)]
     else:
         problems = [_torus_problem(b, tol) for b in (0.02, 0.04)]
-    solve = None
+    held = {}
     for p in problems:
-        fresh, _ = _newton_stationary(_mid_start(p), p, tol)
-        carried, solve = _newton_stationary(_mid_start(p), p, tol, solve)
+        fresh = _newton_stationary(_mid_start(p), p, tol)
+        carried = _newton_stationary(_mid_start(p), p, tol, held)
         _assert_same_root(carried, fresh)
 
 
@@ -502,19 +505,67 @@ def test_newton_far_factor_still_certifies(factor_count):
     tol = 1e-9
     fam = corollary_family(n=64)
     first, last = (build_problem(fam.grid, *fam.at((q,)), tol=tol) for q in (0.0, 0.5))
-    _, solve = _newton_stationary(_mid_start(first), first, tol)
-    fresh, _ = _newton_stationary(_mid_start(last), last, tol)
+    held = {}
+    _newton_stationary(_mid_start(first), first, tol, held)
+    (solve,) = held.values()
+    fresh = _newton_stationary(_mid_start(last), last, tol)
     # the factor of q = 0 still contracts at q = 0.5: it is kept
     factor_count.clear()
-    u, kept = _newton_stationary(_mid_start(last), last, tol, solve)
+    u = _newton_stationary(_mid_start(last), last, tol, held)
+    (kept,) = held.values()
     assert kept is solve and len(factor_count) == 0
     _assert_same_root(u, fresh)
     # a factor of another problem on the same grid, with lambda0 = 1 against
     # about 0.05 here, does not contract: it is replaced and the root certifies
     p = _cosine_circle_problem()
-    fresh, _ = _newton_stationary(_mid_start(p), p, tol)
+    fresh = _newton_stationary(_mid_start(p), p, tol)
     factor_count.clear()
-    u, replaced = _newton_stationary(_mid_start(p), p, tol, solve)
+    u = _newton_stationary(_mid_start(p), p, tol, held)
+    (replaced,) = held.values()
     assert replaced is not solve and len(factor_count) >= 1
     _assert_same_root(u, fresh)
     assert stationary_residual(u, p) <= 10.0 * tol
+
+
+def test_sweep_never_holds_two_newton_factors(monkeypatch):
+    # the two problems above, and the first again (a sweep's difference
+    # tables need three q): the Jacobian factor of either does not contract
+    # on the other, so Newton refactors at every q
+    g = make_circle_grid(2 * np.pi, 64)
+    corollary = (-1.0, 2.0, 0.0)
+    fields = {
+        0.0: corollary,
+        1.0: (lambda x: -0.05 + 0.04 * np.cos(x), 1.0, 1.0),
+        2.0: corollary,
+    }
+
+    def field(slot):
+        def of_q(q):
+            value = fields[q][slot]
+            if callable(value):
+                return ScalarField.from_function(g, value)
+            return ScalarField.constant(g, value)
+        return of_q
+
+    fam = ParamFamily(g, (np.array([0.0, 1.0, 2.0]),), field(0), field(1), field(2))
+    solvers = []  # weak references to every solver Newton asked for
+    alive_at_build = []
+    get_solver, factor = heatflow.spd_solver, _solve.splu
+
+    def recording(*args):
+        solve = get_solver(*args)
+        solvers.append(weakref.ref(solve))
+        return solve
+
+    def checking(*args, **kwargs):
+        alive_at_build.append(sum(ref() is not None for ref in solvers))
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(heatflow, "spd_solver", recording)
+    monkeypatch.setattr(_solve, "splu", checking)
+    sweep_attractor(fam, tol=1e-9)
+    assert len(solvers) >= 3
+    # no earlier Jacobian factor was alive when the next one was built,
+    # and none outlives the sweep
+    assert alive_at_build == [0] * len(alive_at_build)
+    assert all(ref() is None for ref in solvers)

@@ -188,7 +188,7 @@ def test_newton_matches_flow_on_admissible_circles(
         assume(False)
     mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1) * p.e0.values
     flow, _ = evolve_to_attractor(ScalarField(g, mid), p, tol=tol)
-    u, _ = _newton_stationary(mid, p, tol)
+    u = _newton_stationary(mid, p, tol)
     assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
 
 

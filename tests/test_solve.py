@@ -75,22 +75,6 @@ def test_large_circle_backward_error(lap_coeff):
     assert elapsed < 2.0
 
 
-def test_equal_operator_reuses_the_last_factor(factor_count):
-    grid = make_torus_grid([(2 * np.pi, 6), (3.0, 5)])
-    diag = np.random.default_rng(5).uniform(0.5, 2.0, grid.total_points)
-    solve = spd_solver(grid, 1.0, diag)
-    assert spd_solver(grid, 1.0, diag.copy()) is solve
-    assert len(factor_count) == 1
-    # a diagonal one ulp apart is another operator: refactor
-    nudged = diag.copy()
-    nudged[7] = np.nextafter(nudged[7], np.inf)
-    assert spd_solver(grid, 1.0, nudged) is not solve
-    assert len(factor_count) == 2
-    # and the slot holds the latest factor only
-    spd_solver(grid, 1.0, diag)
-    assert len(factor_count) == 3
-
-
 def test_stepper_frees_the_old_factor_on_a_dt_change(monkeypatch):
     g = make_circle_grid(2 * np.pi, 64)
     p = build_problem(
@@ -114,17 +98,20 @@ def test_stepper_frees_the_old_factor_on_a_dt_change(monkeypatch):
 
     monkeypatch.setattr(heatflow, "spd_solver", recording)
     monkeypatch.setattr(_solve, "splu", checking)
-    monkeypatch.setattr(_solve, "_last", None)
+    held = {}  # one holder across the steps, as a march passes it
     u = np.full(64, 2.0)
-    _imex_step(p, [u], 0.5)
-    _imex_step(p, [u], 0.5)
-    assert solvers[1]() is solvers[0]() is not None  # an unchanged dt reuses it
-    _imex_step(p, [u], 1.0)
+    _imex_step(p, [u], 0.5, held)
+    _imex_step(p, [u], 0.5, held)
+    # an unchanged dt builds no factor: the held one is reused
+    assert len(alive_at_build) == 1 and solvers[0]() is not None
+    _imex_step(p, [u], 1.0, held)
     # at u = 0.5 the reaction drives the state negative for dt > 1/12, so
     # the step halves from 1 to 1/16, building a factor for each halved dt
-    (_,), dt_used = _imex_step(p, [np.full(64, 0.5)], 1.0)
+    (_,), dt_used = _imex_step(p, [np.full(64, 0.5)], 1.0, held)
     assert dt_used == 0.0625
-    # neither the step nor the memo kept an old factor while a new one was
-    # built, and only the memo holds the latest
+    # neither the step nor the holder kept an old factor while a new one was
+    # built, and only the holder keeps the latest
     assert alive_at_build == [0] * 6
     assert sum(ref() is not None for ref in solvers) == 1
+    held.clear()
+    assert all(ref() is None for ref in solvers)
