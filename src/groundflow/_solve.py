@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from .errors import ConvergenceError
 from .grid import Grid, laplacian_sparse
 
 
@@ -34,7 +35,10 @@ def spd_solver(grid: Grid, lap_coeff: float, diag: np.ndarray):
     # the stencil holds every diagonal cell, so setdiag adds no entries
     mat = laplacian_sparse(grid) * -lap_coeff
     mat.setdiag(mat.diagonal() + diag)
-    factor = splu(mat, permc_spec="MMD_AT_PLUS_A", relax=1)
+    try:
+        factor = splu(mat, permc_spec="MMD_AT_PLUS_A", relax=1)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise ConvergenceError(f"sparse factor failed: {exc}") from exc
 
     # a plain function rather than the bound method, so the factor's
     # lifetime can be followed by weak reference (SuperLU objects take none)

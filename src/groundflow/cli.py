@@ -3,9 +3,10 @@
 Usage: ``groundflow CONFIG.json [--out DIR]``.  The config selects a
 subcommand and its inputs; fields are built from a small declarative
 catalog (constants, a + b*sin(kx), a + b*cos(kx), per-axis products) so
-runs stay reproducible.  Exit codes: 0 success, 2 config error,
-3 numerical failure or an allocation that cannot succeed (with the
-reason, and the numbers the exception carries, recorded in summary.json).
+runs stay reproducible.  Exit codes: 0 success, 2 config error, 3 numerical
+failure, float overflow, a result that is not finite or an allocation that
+cannot succeed (with the reason, and the numbers the exception carries, in
+summary.json, which is strict JSON).
 """
 
 from __future__ import annotations
@@ -487,6 +488,16 @@ _RUNNERS = {
 }
 
 
+def _check_finite(value, key="summary"):
+    """Fail at the first number in ``value`` that strict JSON cannot hold."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise GroundflowError(f"result {key} is not finite ({value!r})")
+    if isinstance(value, (dict, list)):
+        pairs = value.items() if isinstance(value, dict) else enumerate(value)
+        for name, item in pairs:
+            _check_finite(item, f"{key}.{name}")
+
+
 def run(config: dict, out_dir: str | Path) -> int:
     out_dir = Path(out_dir)
     sub = config.get("subcommand")
@@ -499,19 +510,20 @@ def run(config: dict, out_dir: str | Path) -> int:
         raise error
     try:
         summary, tables = _RUNNERS[sub](config)
+        _check_finite(summary)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, write in tables.items():
             write(out_dir / name)
         code = 0
-    except (GroundflowError, MemoryError) as exc:
+    except (GroundflowError, MemoryError, ArithmeticError) as exc:
         # numpy raises a private subclass of MemoryError for an allocation
         # that cannot succeed, so the summary names the builtin
-        oom = isinstance(exc, MemoryError)
-        numbers = {} if oom else exc.numbers
-        error = {"type": "MemoryError" if oom else type(exc).__name__}
-        error["message"] = str(exc)
-        error.update(
-            (name, float(value)) for name, value in numbers.items() if value is not None
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        error = {"type": kind, "message": str(exc)}
+        numbers = exc.numbers if isinstance(exc, GroundflowError) else {}
+        error.update(  # a number that is not finite is written as null
+            (name, float(value) if math.isfinite(value) else None)
+            for name, value in numbers.items() if value is not None
         )
         summary, code = {"error": error}, 3
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,10 +19,6 @@ import numpy as np
 from .errors import AdmissibilityError, BlowdownError
 from .grid import ScalarField
 
-#: discriminant threshold (relative to A^2) below which closed-form roots
-#: are polished by bisection
-_CANCELLATION_GUARD = 1e-8
-
 STABLE = "stable"
 UNSTABLE = "unstable"
 SEMISTABLE = "semistable"
@@ -96,8 +92,9 @@ def extrema_coeffs(
         raise ValueError("psi2 must be nonnegative pointwise")
     if e0.min() <= 0.0:
         raise ValueError("e0 must be strictly positive pointwise")
-    r1 = psi1.values / e0.values**2
-    r2 = psi2.values / e0.values**4
+    with np.errstate(divide="raise", over="raise", invalid="raise"):  # raise, not inf
+        r1 = psi1.values / e0.values**2
+        r2 = psi2.values / e0.values**4
     return ExtremaCoeffs(
         psi1_plus=float(r1.max()),
         psi1_minus=float(r1.min()),
@@ -120,24 +117,9 @@ def phi_prime(y, profile: PhiProfile):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("profile is defined for y > 0 only")
-    val = -profile.lambda0 - profile.A / y**2 + 3.0 * profile.B / y**4
+    with np.errstate(all="ignore"):  # a power out of float range: inf or nan
+        val = -profile.lambda0 - profile.A / y**2 + 3.0 * profile.B / y**4
     return float(val) if val.ndim == 0 else val
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def phi_roots(lambda0: float, A: float, B: float):
@@ -145,8 +127,8 @@ def phi_roots(lambda0: float, A: float, B: float):
 
     Solves the biquadratic -lambda0*y^4 + A*y^2 - B = 0 in the closed form
     of :func:`positive_equilibria` (beta = -lambda0), which uses
-    2B/(A + sqrt(disc)) for the small root to dodge cancellation, with a
-    bisection polish when the discriminant nearly vanishes.
+    2B/(A + sqrt(disc)) for the small root to dodge cancellation; rounding
+    disc = A^2 - 4*lambda0*B costs the roots about eps/(4*sqrt(disc/A^2)).
     """
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
@@ -162,13 +144,7 @@ def phi_roots(lambda0: float, A: float, B: float):
             "profile discriminant is not positive; no positive root pair",
             margin=disc,
         )
-    y1, y2 = positive_equilibria(-lambda0, A, B)
-    if disc < _CANCELLATION_GUARD * A * A:
-        quartic = lambda y: -lambda0 * y**4 + A * y**2 - B
-        y_peak = math.sqrt(A / (2.0 * lambda0))
-        y1 = _bisect(quartic, y_peak, math.sqrt(A / lambda0))
-        y2 = _bisect(quartic, 1e-12 * y_peak, y_peak)
-    return y1, y2
+    return tuple(positive_equilibria(-lambda0, A, B))
 
 
 def critical_root_y3(lambda0: float, A: float, B: float):
@@ -296,7 +272,8 @@ def scalar_flow(
             except ArithmeticError:
                 # float ** and / raise on overflow and zero divisors where
                 # numpy gives inf or nan, which then halve the step
-                return float(rhs(np.float64(x)))
+                with np.errstate(all="ignore"):
+                    return float(rhs(np.float64(x)))
 
         def inside(x):
             return 0.0 < x < math.inf

@@ -17,7 +17,7 @@ class GroundflowError(Exception):
 
 
 class ConvergenceError(GroundflowError):
-    """An iterative solve ran out of iterations or time budget.
+    """An iterative solve did not converge, left float range, or hit a singular factor.
 
     Carries the last residual / increment so callers can report how far
     the iteration got.

@@ -52,8 +52,14 @@ class Grid:
                 raise ValueError(
                     f"dim {d}: need at least {MIN_POINTS} points, got {points}"
                 )
+            h = length / points
+            if not (h > 0.0 and math.isfinite(4.0 / h / h)):
+                raise ValueError(f"dim {d}: spacing {h!r} is too fine for 4/h**2")
             norm.append((length, points))
         object.__setattr__(self, "dims", tuple(norm))
+        vol = self.cell_volume  # unit L2 fields need 1/vol and vol * points
+        if not (np.finfo(float).tiny <= vol and math.isfinite(vol * self.total_points)):
+            raise ValueError(f"cell volume {vol!r} is out of float range")
 
     @property
     def ndim(self) -> int:

@@ -516,14 +516,11 @@ def _newton_stationary(
         res = _residual_values(grid, u, beta, psi1, psi2)
         if grid not in held:
             held.clear()  # free the old factor before building the next
+            diag = psi1 / u**2 - 3.0 * psi2 / u**4 - beta
             try:
-                held[grid] = spd_solver(
-                    grid, 1.0, psi1 / u**2 - 3.0 * psi2 / u**4 - beta
-                )
-            except RuntimeError as exc:  # SuperLU: the factor is exactly singular
-                raise _newton_failure(
-                    "hit a singular Jacobian", u, p, iteration
-                ) from exc
+                held[grid] = spd_solver(grid, 1.0, diag)
+            except ConvergenceError as exc:  # the factor is exactly singular
+                raise _newton_failure("hit a singular factor", u, p, iteration) from exc
         delta = held[grid](res)  # J delta = res, so the Newton step is -delta
         if not np.all(np.isfinite(delta)):
             raise _newton_failure("produced a non-finite step", u, p, iteration)

@@ -168,6 +168,7 @@ def _residual_target(grid: Grid, lam: float) -> float:
     return max(_RESIDUAL_FRACTION * max(1.0, abs(lam)), laplacian_round_off(grid))
 
 
+@np.errstate(all="ignore")  # a step out of float range fails below, unwarned
 def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
     """Least eigenpair of -L - beta by shifted inverse iteration.
 
@@ -177,8 +178,9 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
     stabilizes to ``tol`` and the eigen-residual drops below
     0.5e-10 * max(1, |lambda0|), or below the round-off in applying L
     (machine epsilon times its norm bound sum_d 4/h_d^2) where that is
-    larger, as on fine 1-d grids.  The sign is fixed so the mean is
-    positive; strict pointwise positivity is then asserted.  Returns
+    larger, as on fine 1-d grids; a step whose quotient or residual is not
+    finite fails at once.  The sign is fixed so the mean is positive;
+    strict pointwise positivity is then asserted.  Returns
     ``(lambda0, e0 values, iterations, residual, solve, mu)``, the last
     two being the solver of H - mu and the shift, for further use.
     """
@@ -192,14 +194,15 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
 
     v = _unit_constant(grid)
     lam = np.inf
-    residual = np.inf
-    iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
         w = solve(v)
         w /= _weighted_norm(w, vol)
         hw = -laplacian_values(grid, w) - b * w
         lam_new = vol * float(np.dot(w, hw))
         residual = _weighted_norm(hw - lam_new * w, vol)
+        if not (abs(lam_new) < np.inf and residual < np.inf):  # nan or inf
+            message = f"inverse iteration left float range at step {iterations}"
+            raise ConvergenceError(message, residual=residual)
         converged = (
             abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
             and residual <= _residual_target(grid, lam_new)

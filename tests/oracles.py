@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the code paths under test: roots come
-from scipy's brentq on sign-change brackets, ODE references from high-order
-adaptive integration, and dense operators from index loops.
+from scipy's brentq on sign-change brackets or from 60-digit decimal
+arithmetic, ODE references from high-order adaptive integration, and
+dense operators from index loops.
 """
 
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -39,6 +41,24 @@ def quartic_positive_roots(lam, A, B, lo=1e-9, hi=1e6, n=200_000):
         if not deduped or r - deduped[-1] > 1e-13 * max(1.0, r):
             deduped.append(r)
     return deduped
+
+
+def decimal_profile_roots(lam, A, B):
+    """``(y1, y2, margin share)`` of -lam*y^4 + A*y^2 - B to 60 digits.
+
+    The float inputs are taken exactly; the roots are the square roots of
+    (A +- sqrt(A^2 - 4 lam B))/(2 lam), and the share is the margin
+    (A^2 - 4 lam B)/A^2, which must be positive.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam, A, B = Decimal(float(lam)), Decimal(float(A)), Decimal(float(B))
+        margin = A * A - 4 * lam * B
+        if margin <= 0:
+            raise ValueError(f"margin {margin} is not positive")
+        s = margin.sqrt()
+        y1, y2 = ((A + s) / (2 * lam)).sqrt(), ((A - s) / (2 * lam)).sqrt()
+        return y1, y2, margin / (A * A)
 
 
 def sampled_decay_rate(sigma, profile, n=10_000):

@@ -601,6 +601,67 @@ def test_impossible_allocation_is_a_numerical_failure(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+_ORBIT = {"subcommand": "phase", "beta": -1.0, "psi1": 1.0, "psi2": 1.0, "u0": 1.0,
+          "v0": 0.0, "T": 1.0}
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("cfg, error_type", [
+    pytest.param({"subcommand": "roots", "lambda0": 1e300, "psi1": 1e300,
+                  "psi2": 1e-300}, "OverflowError", id="roots-margin-overflow"),
+    pytest.param({"subcommand": "ode", "beta": -1e-300, "psi1": 1e300,
+                  "psi2": 1e-300, "y0": 1.0, "T": 1.0}, "ZeroDivisionError",
+                 id="ode-slope-zero-division"),
+    pytest.param({"subcommand": "curvature", "mode": "scaling", "s_mix": 1.0,
+                  "h_sq": 1e300, "t_sq": 1e300, "u_const": 1e-100}, "OverflowError",
+                 id="scaling-overflow"),
+    pytest.param({**_ORBIT, "dt": 1e-320}, "OverflowError", id="phase-step-count"),
+    pytest.param({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
+                  "beta": {"const": 1e300}}, "ConvergenceError",
+                 id="singular-factor"),
+    pytest.param({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
+                  "beta": {"form": "cos", "a": 0.0, "b": 1e300, "k": 1}},
+                 "ConvergenceError", id="ground-state-nan"),
+])
+def test_float_range_failures_are_numerical_failures(tmp_path, capsys, cfg, error_type):
+    code, out_dir, _ = run_cli(tmp_path, cfg)
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    summary = _strict_json((out_dir / "summary.json").read_text())
+    assert summary["error"]["type"] == error_type
+
+
+def test_non_finite_result_names_its_key(tmp_path):
+    cfg = {"subcommand": "roots", "lambda0": 1e-320, "psi1": 1.0, "psi2": 1e-300}
+    code, _, summary = run_cli(tmp_path, cfg)
+    assert code == 3
+    assert set(summary) == {"schema", "subcommand", "error"}
+    assert summary["error"] == {
+        "type": "GroundflowError", "message": "result summary.y1 is not finite (inf)"
+    }
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_failure_number_is_null(tmp_path, monkeypatch, value):
+    def failing(cfg):
+        raise ConvergenceError("left float range", residual=value)
+
+    monkeypatch.setitem(cli._RUNNERS, "roots", failing)
+    code, out_dir, _ = run_cli(
+        tmp_path, {"subcommand": "roots", "lambda0": 0.1, "psi1": 1.0, "psi2": 1.0}
+    )
+    assert code == 3
+    error = _strict_json((out_dir / "summary.json").read_text())["error"]
+    assert error == {"type": "ConvergenceError", "message": "left float range",
+                     "residual": None}
+
+
 def test_success_summary_bytes_are_pinned(tmp_path):
     # failure summaries gained numeric fields; success summaries keep their bytes
     code, out_dir, _ = run_cli(
@@ -684,6 +745,11 @@ _CIRCLE = {"dims": [[TWO_PI, 16]]}
                  id="attract-epsilon"),
     pytest.param({"subcommand": "ground-state", "grid": {"dims": [[TWO_PI, 8.5]]},
                   "beta": {"const": 0.0}}, id="fractional-points"),
+    # 4/h**2 divides by zero, or overflows
+    pytest.param({"subcommand": "ground-state", "grid": {"dims": [[1e-300, 4]]},
+                  "beta": {"const": 0.0}}, id="spacing-zero-division"),
+    pytest.param({"subcommand": "ground-state", "grid": {"dims": [[1e-160, 8]]},
+                  "beta": {"const": 0.0}}, id="spacing-overflow"),
     pytest.param({"subcommand": "ground-state", "grid": _CIRCLE,
                   "beta": {"form": "cos", "a": 0.0, "b": 1.0, "k": 1, "axis": 1}},
                  id="field-axis"),

@@ -4,17 +4,23 @@ Every schema-valid config of ``roots``, ``ode``, ``phase``,
 ``ground-state``, ``attract``, ``curvature`` and ``sweep`` must exit 0, 2
 or 3 and never escape ``main`` with an exception (a traceback at the
 command line).
-Exit 2 leaves no output directory; exits 0 and 3 write ``summary.json``.
+Exit 2 leaves no output directory; exits 0 and 3 write ``summary.json``,
+which must be strict JSON: no ``NaN`` or ``Infinity``.
 Warnings are not filtered, so a ``RuntimeWarning`` fails the test too.
 
 The draws are bounded so that no config can start a long run: at most 16
-points per axis and 2 axes per grid, every number in {0} or 1e-3 <= |x| <= 10,
-at most 5000 RK4 steps per orbit and at most 9 q per sweep.
+points per axis and 2 axes per grid, every number in {0} or
+1e-3 <= |x| <= 10, except that the scalars of ``roots``, ``ode`` and
+curvature ``scaling``, the ``dt`` of ``phase`` and the grid lengths reach
+from 1e-320 to 1e300 now and then; at most 5000 RK4 steps per orbit (or
+an orbit whose step count overflows), an ``ode`` flow only as stiff as
+5000 steps resolve, and at most 9 q per sweep.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -29,6 +35,10 @@ from groundflow.cli import main
 _magnitude = st.floats(1e-3, 10.0)
 _negative = _magnitude.map(lambda x: -x)
 _number = st.one_of(st.just(0.0), _magnitude, _negative)
+# a magnitude out toward either end of float range, from 1e-320 (subnormal)
+# to 1e300, in place of one in four ordinary magnitudes
+_far = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-320, 299))
+_wide = st.sampled_from([_magnitude] * 3 + [_far]).flatmap(lambda s: s)
 
 
 def _usually(valid, other=_number):
@@ -46,7 +56,7 @@ def _put(draw, cfg, key, strategy, usually=False):
 _tol = _usually(st.sampled_from([1e-10, 1e-8]))
 _points = _usually(st.integers(4, 16), st.one_of(st.integers(1, 3), st.just(8.5)))
 _grid = st.fixed_dictionaries({"dims": st.lists(
-    st.tuples(_usually(_magnitude), _points), min_size=1, max_size=2
+    st.tuples(_usually(_wide), _points), min_size=1, max_size=2
 )})
 
 
@@ -82,26 +92,38 @@ _negative_field = _usually(
 
 @st.composite
 def _roots(draw):
-    return {"subcommand": "roots", "lambda0": draw(_usually(_magnitude)),
-            "psi1": draw(_usually(_magnitude)), "psi2": draw(_usually(_magnitude))}
+    return {"subcommand": "roots", "lambda0": draw(_usually(_wide)),
+            "psi1": draw(_usually(_wide)), "psi2": draw(_usually(_wide))}
 
 
 @st.composite
 def _ode(draw):
-    cfg = {"subcommand": "ode", "beta": draw(_usually(_negative)),
-           "psi1": draw(_usually(_magnitude)), "psi2": draw(_usually(_magnitude))}
-    for key in ("y0", "T"):
-        _put(draw, cfg, key, _usually(_magnitude), usually=True)
-    _put(draw, cfg, "dt", _usually(_magnitude))
+    cfg = {"subcommand": "ode", "beta": draw(_usually(_wide.map(lambda x: -x))),
+           "psi1": draw(_usually(_wide)), "psi2": draw(_usually(_wide))}
+    _put(draw, cfg, "y0", _usually(_wide), usually=True)
+    _put(draw, cfg, "T", _usually(_magnitude), usually=True)
+    _put(draw, cfg, "dt", _usually(_wide))
+    lam, A, B = -cfg["beta"], cfg["psi1"], cfg["psi2"]
+    y0, T = cfg.get("y0", 0.0), cfg.get("T", 0.0)
+    # the flow's default step is min(0.01, 0.1/lambda0)
+    dt = cfg.get("dt", min(0.01, 0.1 / lam) if lam > 0.0 else 0.0)
+    if min(lam, A, y0, T, dt) > 0.0 and B >= 0.0:
+        # a stage that leaves (0, inf) halves the step for good, so it ends
+        # up near 1/|phi'| at the stiffest point of the path, where |phi'|
+        # is at most 9*lambda0 + A/y**2 + 3*B/y**4 with y = y0
+        stiff = 9.0 * lam + A / y0 / y0 + 3.0 * B / y0 / y0 / y0 / y0
+        assume(T * max(1.0 / dt, stiff) <= 5000)
     return cfg
 
 
 @st.composite
 def _phase(draw):
     cfg = {"subcommand": "phase", "beta": draw(_number), "v0": draw(_number)}
-    for key in ("psi1", "psi2", "u0", "T", "dt"):
+    for key in ("psi1", "psi2", "u0", "T"):
         cfg[key] = draw(_usually(_magnitude))
-    assume(cfg["dt"] <= 0.0 or cfg["T"] <= 5000 * cfg["dt"])
+    cfg["dt"] = draw(_usually(_wide))
+    assume(cfg["dt"] <= 0.0 or cfg["T"] <= 5000 * cfg["dt"]
+           or cfg["T"] / cfg["dt"] == math.inf)
     _put(draw, cfg, "portrait", st.fixed_dictionaries({
         "u_min": _usually(_magnitude), "u_max": _usually(_magnitude),
         "nu": st.integers(2, 16), "v_min": _number, "v_max": _number,
@@ -139,7 +161,7 @@ def _curvature(draw):
     for key in ("u", "v"):
         _put(draw, cfg, key, _positive_field, usually=True)
     for key in ("s_mix", "h_sq", "t_sq", "u_const"):
-        _put(draw, cfg, key, _usually(_magnitude), usually=True)
+        _put(draw, cfg, key, _usually(_wide), usually=True)
     _put(draw, cfg, "tol", _tol)
     return cfg
 
@@ -188,6 +210,31 @@ _ORBIT = {"subcommand": "phase", "beta": -1.0, "psi1": 1.0, "psi2": 1.0, "v0": 0
 @example({**_ORBIT, "u0": 1e-200, "dt": 0.1})
 @example({**_ORBIT, "beta": 1e-12, "psi1": 9.2, "psi2": 9.4, "u0": 2.3e-72,
           "dt": 1.0})
+# the bisection polish returned the bracket end sqrt(A/lambda0) as y1
+@example({"subcommand": "roots", "lambda0": 43.0382607117434,
+          "psi1": 22.85539366398312, "psi2": 3.034329285715688})
+# float arithmetic raised: the margin's square, a zero divisor in the slope
+# at a root, u**-4, and the step count T/dt = inf
+@example({"subcommand": "roots", "lambda0": 1e300, "psi1": 1e300, "psi2": 1e-300})
+@example({"subcommand": "ode", "beta": -1e-300, "psi1": 1e300, "psi2": 1e-300,
+          "y0": 1.0, "T": 1.0})
+@example({"subcommand": "curvature", "mode": "scaling", "s_mix": 1.0, "h_sq": 1e300,
+          "t_sq": 1e300, "u_const": 1e-100})
+@example({**_ORBIT, "u0": 1.0, "dt": 1e-320})
+# the shift's floor 0.01 rounds away next to beta = 1e300: a singular factor
+@example({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
+          "beta": {"const": 1e300}})
+# stencils whose 4/h**2 is zero-divided, overflows, or swamps the shift
+@example({"subcommand": "ground-state", "grid": {"dims": [[1e-300, 4]]},
+          "beta": {"const": 0.0}})
+@example({"subcommand": "ground-state", "grid": {"dims": [[1e-160, 8]]},
+          "beta": {"const": 0.0}})
+@example({"subcommand": "ground-state", "grid": {"dims": [[1e-150, 8]]},
+          "beta": {"const": 0.0}})
+# results that are not finite: y1 overflows, inverse iteration makes NaN
+@example({"subcommand": "roots", "lambda0": 1e-320, "psi1": 1.0, "psi2": 1e-300})
+@example({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
+          "beta": {"form": "cos", "a": 0.0, "b": 1e300, "k": 1}})
 def test_cli_exits_only_with_its_codes(config):
     with tempfile.TemporaryDirectory() as tmp:
         path, out_dir = Path(tmp) / "config.json", Path(tmp) / "out"
@@ -200,4 +247,10 @@ def test_cli_exits_only_with_its_codes(config):
         if code == 2:
             assert not out_dir.exists()
         else:
-            assert (out_dir / "summary.json").exists()
+            text = (out_dir / "summary.json").read_text()
+            json.loads(text, parse_constant=_not_json)
+
+
+def _not_json(name):
+    """``json.loads`` hook for ``NaN``, ``Infinity`` and ``-Infinity``."""
+    raise ValueError(f"{name} is not JSON")

@@ -1,3 +1,7 @@
+import math
+from collections import Counter
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,12 @@ from groundflow import (
     profile_from_coeffs,
     scalar_flow,
 )
-from oracles import quartic_positive_roots, sampled_decay_rate, scalar_ode_reference
+from oracles import (
+    decimal_profile_roots,
+    quartic_positive_roots,
+    sampled_decay_rate,
+    scalar_ode_reference,
+)
 
 # frozen from the bracketed-bisection quartic oracle at lambda0=0.1, A=B=1
 Y1_REF = 2.978755335069904
@@ -125,7 +134,7 @@ def test_discriminant_boundary_rejected():
 
 
 def test_near_degenerate_roots_stay_accurate():
-    # discriminant ~ 1e-10 * A^2 exercises the bisection polish
+    # discriminant ~ 1e-10 * A^2, where the two roots are close
     lam, A = 0.1, 1.0
     B = (A * A - 1e-10 * A * A) / (4.0 * lam)
     y1, y2 = phi_roots(lam, A, B)
@@ -146,6 +155,43 @@ def test_random_admissible_roots_against_oracle():
         lo, hi = quartic_positive_roots(lam, A, B)
         assert abs(y1 - hi) <= 1e-12 * hi
         assert abs(y2 - lo) <= 1e-12 * max(lo, 1e-30)
+
+
+def test_marginal_roots_match_a_60_digit_oracle():
+    # margins A^2 - 4*lambda0*B from 1e-12 down to 1e-17 of A^2, where the
+    # roots merge at sqrt(A/(2*lambda0)); B is the float nearest the drawn
+    # share, so the exact margin of (lambda0, A, B) is the share give or
+    # take an ulp of B, and draws whose float margin is not positive (which
+    # phi_roots reports as inadmissible) are skipped
+    rng = np.random.RandomState(23)
+    per_decade = Counter()
+    for _ in range(800):
+        lam, A = rng.uniform(0.02, 1.5), rng.uniform(0.2, 5.0)
+        share = Decimal(10.0 ** rng.uniform(-17.0, -12.0))
+        B = float(Decimal(A) ** 2 * (1 - share) / (4 * Decimal(lam)))
+        if not A * A - 4.0 * lam * B > 0.0:
+            continue
+        y1, y2, margin = decimal_profile_roots(lam, A, B)
+        decade = math.floor(math.log10(margin))
+        if not -17 <= decade < -12:
+            continue
+        per_decade[decade] += 1
+        p = make_profile(lam, A, B)
+        assert 0.0 < p.y2 < p.y3 < p.y1 and p.y3 < p.y4
+        assert abs(Decimal(p.y1) - y1) <= Decimal(1e-8) * y1, (lam, A, B)
+        assert abs(Decimal(p.y2) - y2) <= Decimal(1e-8) * y2, (lam, A, B)
+    assert min(per_decade[d] for d in range(-17, -12)) >= 20, per_decade
+
+
+def test_marginal_roots_config_matches_oracle():
+    # the `roots` config for which a bisection once returned the bracket end
+    # sqrt(A/lambda0) = 0.7287... as y1
+    lam, A, B = 43.0382607117434, 22.85539366398312, 3.034329285715688
+    y1, y2, _ = decimal_profile_roots(lam, A, B)
+    p = make_profile(lam, A, B)
+    assert abs(Decimal(p.y1) - y1) <= Decimal(1e-8) * y1
+    assert abs(Decimal(p.y2) - y2) <= Decimal(1e-8) * y2
+    assert abs(p.y1 - 0.5152903407477948) <= 1e-8 * 0.5152903407477948
 
 
 def test_critical_root():

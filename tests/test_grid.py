@@ -38,6 +38,20 @@ def test_too_few_points_rejected():
     assert make_circle_grid(1.0, 8.0) == make_circle_grid(1.0, 8)
 
 
+@pytest.mark.parametrize("length", [1e-300, 1e-160, 5e-324])
+def test_spacing_whose_stencil_weight_overflows_rejected(length):
+    # 4/h**2 is a zero division at h = 2.5e-301 (and at h = 0, which 5e-324
+    # over 8 points rounds to) and overflows at h = 1.25e-161
+    with pytest.raises(ValueError, match="too fine"):
+        make_circle_grid(length, 8)
+
+
+def test_finest_and_coarsest_admitted_spacings():
+    fine = make_circle_grid(1e-150, 8)
+    assert np.isfinite(laplacian_sparse(fine).data).all()
+    assert make_circle_grid(1e300, 8).spacings == (1.25e299,)
+
+
 def test_torus_grid_product_count():
     g = make_torus_grid([(2 * np.pi, 32), (2 * np.pi, 32)])
     assert g.total_points == 1024

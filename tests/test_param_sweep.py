@@ -385,10 +385,12 @@ def test_newton_singular_factor_is_a_convergence_error(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(heatflow, "spd_solver", singular)
+    # SuperLU itself fails, so the solver's own conversion is exercised
+    monkeypatch.setattr(_solve, "splu", singular)
     with pytest.raises(ConvergenceError) as err:
         _newton_stationary(start, p, 1e-9)
-    assert isinstance(err.value.__cause__, RuntimeError)
+    assert "singular factor" in str(err.value)
+    assert isinstance(err.value.__cause__.__cause__, RuntimeError)
     assert err.value.residual is not None
 
 

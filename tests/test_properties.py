@@ -297,13 +297,15 @@ def test_decay_rate_matches_sampled_sup(lam, A, share, depth):
 @given(
     lam=st.floats(0.02, 1.5),
     A=st.floats(0.2, 5.0),
-    # the margin A^2 - 4 lambda0 B as a share of A^2, from a few ulps up
-    log_share=st.floats(-15.0, -2.0),
+    # the margin A^2 - 4 lambda0 B as a share of A^2, from below an ulp up
+    log_share=st.floats(-17.0, -2.0),
 )
 @example(lam=0.7, A=3.0, log_share=-15.0)
+# a bisection of the quartic once put the landmarks out of order here
+@example(lam=0.95, A=4.0, log_share=-16.0)
 def test_profile_landmarks_ordered_at_marginal_discriminants(lam, A, log_share):
     B = A * A * (1.0 - 10.0**log_share) / (4.0 * lam)
-    assume(A * A - 4.0 * lam * B >= 1e-15 * A * A)
+    assume(A * A - 4.0 * lam * B > 0)
     p = make_profile(lam, A, B)
     assert 0.0 < p.y2 < p.y3 < p.y1
     assert p.y3 < p.y4

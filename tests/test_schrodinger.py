@@ -13,6 +13,7 @@ from groundflow import (
     spectrum_oracle,
 )
 from groundflow import _solve, schrodinger
+from groundflow.errors import ConvergenceError
 from groundflow.grid import DENSE_CAP
 
 from oracles import looped_laplacian_matrix, rayleigh_quotient_longdouble
@@ -310,3 +311,15 @@ def test_lambda0_matches_extended_precision_rayleigh_quotient(n):
     quotient = rayleigh_quotient_longdouble(grid, beta.values, result.e0.values)
     error = abs(np.longdouble(result.lambda0) - quotient)
     assert error <= 1e-15 * max(1.0, abs(result.lambda0))
+
+
+@pytest.mark.parametrize("grid, beta", [
+    # the stencil's 6.4e301 swamps the shift 0.01: solves underflow to zero
+    (make_circle_grid(1e-150, 8), lambda x: 0.0 * x),
+    # beta = 1e300 cos x: the Rayleigh quotient overflows
+    (make_circle_grid(6.28, 8), lambda x: 1e300 * np.cos(x)),
+], ids=["fine-spacing", "huge-beta"])
+def test_inverse_iteration_fails_at_its_first_non_finite_step(grid, beta):
+    with pytest.raises(ConvergenceError, match=r"at step 1$") as err:
+        ground_state(grid, ScalarField.from_function(grid, beta))
+    assert not np.isfinite(err.value.residual)

@@ -12,6 +12,7 @@ from groundflow import (
 )
 from groundflow import _solve, heatflow
 from groundflow._solve import spd_solver
+from groundflow.errors import ConvergenceError
 from groundflow.grid import MIN_POINTS, laplacian_values
 from groundflow.heatflow import _imex_step
 
@@ -53,6 +54,15 @@ def test_successive_solvers_on_one_grid_match_dense_oracle(name):
         expected = np.linalg.solve(dense, b)
         x = spd_solver(grid, lap_coeff, diag)(b)
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_singular_factor_is_a_convergence_error():
+    # -L alone annihilates the constants; on this grid SuperLU's last pivot
+    # is exactly zero
+    with pytest.raises(ConvergenceError) as err:
+        spd_solver(make_circle_grid(6.28, 8), 1.0, np.zeros(8))
+    assert isinstance(err.value.__cause__, RuntimeError)
+    assert "singular" in str(err.value)
 
 
 @pytest.mark.parametrize("lap_coeff", [1e-3, 1.0])
