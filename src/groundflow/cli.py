@@ -144,7 +144,6 @@ _SCHEMAS = {
         ["grid", "beta"],
         grid=_GRID,
         beta=_FIELD,
-        tol={"type": "number"},
     ),
     "attract": _command(
         "attract",
@@ -155,7 +154,8 @@ _SCHEMAS = {
         psi2=_FIELD,
         u0_ratio=_NUMBER,
         u0=_FIELD,
-        tol={"type": "number"},
+        # the attractor's stationary tolerance, checked before any numerics
+        tol={"type": "number", "exclusiveMinimum": 0, "maximum": 1e-4},
         t_max={"type": "number"},
         epsilon={"type": "number"},
         tol_h={"type": "number"},
@@ -199,7 +199,6 @@ _SCHEMAS = {
         fiber_grid=_GRID,
         u=_FIELD,
         v=_FIELD,
-        tol={"type": "number"},
         s_mix=_NUMBER,
         h_sq=_NUMBER,
         t_sq=_NUMBER,
@@ -218,7 +217,7 @@ _SCHEMAS = {
         beta=_QFIELD,
         psi1=_QFIELD,
         psi2=_QFIELD,
-        tol={"type": "number"},
+        tol={"type": "number", "exclusiveMinimum": 0, "maximum": 1e-4},
     ),
 }
 
@@ -305,7 +304,7 @@ def _run_roots(cfg):
 def _run_ground_state(cfg):
     grid = _parse_grid(cfg["grid"])
     beta = _parse_field(cfg["beta"], grid)
-    result = ground_state(grid, beta, tol=cfg.get("tol", 1e-8))
+    result = ground_state(grid, beta)
     return {
         "lambda0": result.lambda0,
         "gap": result.gap,
@@ -323,7 +322,6 @@ def _run_attract(cfg):
         _parse_field(cfg["beta"], grid),
         _parse_field(cfg["psi1"], grid),
         _parse_field(cfg["psi2"], grid),
-        tol=cfg.get("tol", 1e-8),
     )
     y1m, y3m = p.profile_minus.y1, p.profile_minus.basin_edge
     if "u0" in cfg:
@@ -333,9 +331,8 @@ def _run_attract(cfg):
         u0 = ScalarField(grid, ratio * p.e0.values)
     epsilon = cfg.get("epsilon", 0.5 * (y1m - y3m))
     decay_rate_mu(epsilon, p.profile_minus)  # rejects epsilon before the flow
-    tol = cfg.get("tol", 1e-8)
     u_star, trace = evolve_to_attractor(
-        u0, p, tol=tol, t_max=cfg.get("t_max", 5000.0)
+        u0, p, tol=cfg.get("tol", 1e-8), t_max=cfg.get("t_max", 5000.0)
     )
     sandwich = certify_sandwich(u_star, p, tol_h=cfg.get("tol_h", 1e-3))
     bound = certify_exponential_bound(trace, p, epsilon)
@@ -432,7 +429,7 @@ def _run_curvature(cfg):
         summary.update(smix_min=field.min(), smix_max=field.max())
     else:
         tp = cv.TwistedProduct(base, fiber, v)
-        field, leaf_smix = cv.ground_state_warp(tp, tol=cfg.get("tol", 1e-8))
+        field, leaf_smix = cv.ground_state_warp(tp)
         smix = cv.mixed_scalar_curvature(cv.TwistedProduct(base, fiber, v, field))
         per_leaf = smix.values.reshape(base.total_points, fiber.total_points)
         oscillation = float(np.max(per_leaf.max(axis=0) - per_leaf.min(axis=0)))

@@ -207,6 +207,7 @@ def decay_rate_mu(sigma: float, profile: PhiProfile) -> float:
 
 #: (stage offset, weight) of RK4 stages 2-4; stage 1 has weight 1
 _RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
+_DOUBLE_EVERY = 50  # accepted steps between step doublings, here and in heatflow
 
 
 def _rk4_step(slope, inside, y, k1, step):
@@ -235,7 +236,9 @@ def scalar_flow(
 
     ``y0`` may be a scalar, integrated on Python floats, or an array (a
     batch of trajectories advanced in lockstep on numpy arrays).  The step
-    is halved whenever a stage or an iterate would leave (0, inf).
+    is halved whenever a stage or an iterate would leave (0, inf); a halved
+    step stays halved, and the step doubles every 50 accepted steps up to
+    ``dt``, so a stiff start does not pin the whole run to its least step.
     Initial data at or below the inner root y2 escapes toward zero and is
     rejected.
     """
@@ -254,6 +257,7 @@ def scalar_flow(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
+    dt_max = dt
     lam, A, B = profile.lambda0, profile.A, profile.B
 
     def rhs(y):
@@ -306,6 +310,8 @@ def scalar_flow(
         if accepted % record_every == 0 or t >= end:
             times.append(t)
             records.append(y)
+        if accepted % _DOUBLE_EVERY == 0:
+            dt = min(2.0 * dt, dt_max)
     return ScalarTrajectory(times=np.asarray(times), values=np.array(records))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._table import write_csv
 from .grid import Grid, ScalarField, laplacian_values, make_torus_grid
-from .schrodinger import _check_tol, _least_eigenpair, _unit_constant
+from .schrodinger import _least_eigenpair, _unit_constant
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def mixed_scalar_curvature(tp: TwistedProduct) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def ground_state_warp(tp: TwistedProduct, tol: float = 1e-8):
+def ground_state_warp(tp: TwistedProduct):
     """Fiber warp making the mixed curvature leafwise constant.
 
     For each fiber point, u restricted to the leaf is the ground state of
@@ -92,9 +92,9 @@ def ground_state_warp(tp: TwistedProduct, tol: float = 1e-8):
     leaf when v varies along the fiber only, has the exact ground state
     lambda0 = -c with a constant eigenvector, since the stencil Laplacian
     maps a constant to exactly 0; it gets that pair with no factor and no
-    iteration.  Every other leaf goes through shifted inverse iteration.
+    iteration.  Every other leaf goes through shifted inverse iteration,
+    which stops on its eigen-residual target alone.
     """
-    _check_tol(tol)
     grid = tp.product_grid
     base_n = tp.base_grid.total_points
     fiber_n = tp.fiber_grid.total_points
@@ -114,7 +114,7 @@ def ground_state_warp(tp: TwistedProduct, tol: float = 1e-8):
         else:
             # only the eigenpair is used, so the gap estimate is skipped
             lam, e0, *_ = _least_eigenpair(
-                tp.base_grid, ScalarField(tp.base_grid, beta_leaf), tol
+                tp.base_grid, ScalarField(tp.base_grid, beta_leaf)
             )
         u_slices[:, j] = e0
         leaf_smix[j] = tp.n * lam

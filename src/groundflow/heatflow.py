@@ -22,6 +22,7 @@ import numpy as np
 from ._solve import spd_solver
 from ._table import write_csv
 from .comparison import (
+    _DOUBLE_EVERY,
     ExtremaCoeffs,
     PhiProfile,
     check_admissible,
@@ -46,7 +47,6 @@ from .schrodinger import SpectralResult, ground_state
 
 _SLACK = 1e-12  # round-off band for basin and sandwich membership
 _MAX_HALVINGS = 60
-_DOUBLE_EVERY = 50  # accepted steps between dt doublings
 _NEWTON_MAX_ITERATIONS = 50
 _NEWTON_STEP_RTOL = 1e-13  # Newton stops at a step this small relative to max|u|
 _CHORD_CONTRACTION = 0.25  # refactor when a step shrinks by less than this
@@ -140,15 +140,16 @@ def build_problem(
     beta: ScalarField,
     psi1: ScalarField,
     psi2: ScalarField,
-    tol: float = 1e-8,
 ) -> ProblemData:
     """Assemble spectral data, rescaled extrema and both profiles.
 
-    Fails with :class:`AdmissibilityError` (carrying the signed margin)
-    when the computed lambda0 violates the positivity condition; beta is
+    The spectral data is :func:`ground_state`'s, converged to its own
+    residual target; the attractor's ``tol`` plays no part in it.  Fails
+    with :class:`AdmissibilityError` (carrying the signed margin) when
+    the computed lambda0 violates the positivity condition; beta is
     never shifted silently.
     """
-    spectral = ground_state(grid, beta, tol=min(tol, 1e-8))
+    spectral = ground_state(grid, beta)
     coeffs = extrema_coeffs(psi1, psi2, spectral.e0)
     adm = check_admissible(spectral.lambda0, coeffs)
     if not adm.admissible:

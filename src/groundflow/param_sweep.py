@@ -219,14 +219,15 @@ def _sweep_result(family: ParamFamily, solved: list, u_stars=None) -> SweepResul
     )
 
 
-def sweep_ground_state(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
+def sweep_ground_state(family: ParamFamily) -> SweepResult:
     """Ground state at every parameter point, plus difference tables.
 
+    Each ground state is converged to inverse iteration's residual target.
     Positivity and normalization pin the eigenvector sign at every q, so
     no alignment between neighboring parameters is needed.
     """
     spectra = _spectral_sweep(
-        family, lambda beta, psi1, psi2: ground_state(family.grid, beta, tol=tol)
+        family, lambda beta, psi1, psi2: ground_state(family.grid, beta)
     )
     return _sweep_result(family, spectra)
 
@@ -310,7 +311,7 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
-    problems = _spectral_sweep(family, partial(build_problem, family.grid, tol=tol))
+    problems = _spectral_sweep(family, partial(build_problem, family.grid))
     u_stars: list[ScalarField] = []
     previous: ScalarField | None = None
     held = {}  # Newton's one Jacobian factor, kept from one q to the next

@@ -100,17 +100,13 @@ def _unit_constant(grid: Grid) -> np.ndarray:
     return v
 
 
-def _check_tol(tol: float):
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
-
-
-def ground_state(grid: Grid, beta: ScalarField, tol: float = 1e-8) -> SpectralResult:
+def ground_state(grid: Grid, beta: ScalarField) -> SpectralResult:
     """Ground state of -L - beta by shifted inverse iteration, with its gap.
 
-    The least eigenpair comes from ``_least_eigenpair``; the next level is
-    then found by Lanczos on the inverse of the same shifted factor with
-    the ground state deflated, and the gap must be positive.
+    The least eigenpair comes from ``_least_eigenpair``, which stops on its
+    eigen-residual target alone, so there is no tolerance to pass; the
+    next level is then found by Lanczos on the inverse of the same shifted
+    factor with the ground state deflated, and the gap must be positive.
 
     Both run on the grid of the axes along which beta varies (axis 0 when
     it varies along none), with beta sliced at index 0 of the others; see
@@ -128,7 +124,7 @@ def ground_state(grid: Grid, beta: ScalarField, tol: float = 1e-8) -> SpectralRe
     sub = Grid(tuple(grid.dims[ax] for ax in kept))
     index = tuple(slice(None) if ax in kept else 0 for ax in range(grid.ndim))
     lam, v, iterations, residual, solve, mu = _least_eigenpair(
-        sub, ScalarField(sub, values[index]), tol
+        sub, ScalarField(sub, values[index])
     )
     gap = _second_eigenvalue(solve, v, sub.cell_volume, mu) - lam
     if sub.ndim < grid.ndim:
@@ -169,23 +165,25 @@ def _residual_target(grid: Grid, lam: float) -> float:
 
 
 @np.errstate(all="ignore")  # a step out of float range fails below, unwarned
-def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
+def _least_eigenpair(grid: Grid, beta: ScalarField):
     """Least eigenpair of -L - beta by shifted inverse iteration.
 
     The shift is mu = -max(beta) - max(max(beta) - mean(beta), 0.01),
     just below lambda0 (see the module docstring).  Iterates solves of
-    (H - mu) w = v with renormalization until the Rayleigh quotient
-    stabilizes to ``tol`` and the eigen-residual drops below
-    0.5e-10 * max(1, |lambda0|), or below the round-off in applying L
-    (machine epsilon times its norm bound sum_d 4/h_d^2) where that is
-    larger, as on fine 1-d grids; a step whose quotient or residual is not
-    finite fails at once.  The sign is fixed so the mean is positive;
-    strict pointwise positivity is then asserted.  Returns
+    (H - mu) w = v with renormalization until the eigen-residual r of the
+    Rayleigh quotient drops below 0.5e-10 * max(1, |lambda0|), or below
+    the round-off in applying L (machine epsilon times its norm bound
+    sum_d 4/h_d^2) where that is larger, as on fine 1-d grids.  That is
+    the only stop rule: the quotient then lies within r^2/gap of lambda0
+    (Kato-Temple; Parlett, The Symmetric Eigenvalue Problem, 1998), which
+    is round-off, so a test on its change between steps would only add
+    steps.  A step whose quotient or residual is not finite fails at
+    once.  The sign is fixed so the mean is positive; strict pointwise
+    positivity is then asserted.  Returns
     ``(lambda0, e0 values, iterations, residual, solve, mu)``, the last
     two being the solver of H - mu and the shift, for further use.
     """
     _check_same_grid(grid, beta)
-    _check_tol(tol)
     vol = grid.cell_volume
     b = beta.values
     b_max, delta = _shift_parts(b)
@@ -193,23 +191,16 @@ def _least_eigenpair(grid: Grid, beta: ScalarField, tol: float):
     solve = spd_solver(grid, 1.0, -b - mu)
 
     v = _unit_constant(grid)
-    lam = np.inf
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        w = solve(v)
-        w /= _weighted_norm(w, vol)
-        hw = -laplacian_values(grid, w) - b * w
-        lam_new = vol * float(np.dot(w, hw))
-        residual = _weighted_norm(hw - lam_new * w, vol)
-        if not (abs(lam_new) < np.inf and residual < np.inf):  # nan or inf
+        v = solve(v)
+        v /= _weighted_norm(v, vol)
+        hv = -laplacian_values(grid, v) - b * v
+        lam = vol * float(np.dot(v, hv))
+        residual = _weighted_norm(hv - lam * v, vol)
+        if not (abs(lam) < np.inf and residual < np.inf):  # nan or inf
             message = f"inverse iteration left float range at step {iterations}"
             raise ConvergenceError(message, residual=residual)
-        converged = (
-            abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
-            and residual <= _residual_target(grid, lam_new)
-        )
-        v = w
-        lam = lam_new
-        if converged:
+        if residual <= _residual_target(grid, lam):
             break
     else:
         raise ConvergenceError(

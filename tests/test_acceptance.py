@@ -58,7 +58,6 @@ def _criterion3_data():
                 ScalarField.constant(g, -0.1),
                 ScalarField.from_function(g, lambda x: 1.0 + 0.3 * np.sin(x)),
                 ScalarField.constant(g, 1.0),
-                tol=1e-8,
             )
             runs[n] = {"problem": p}
         p = runs[256]["problem"]
@@ -225,7 +224,6 @@ def test_criterion_06_vanishing_psi2_regime():
         ScalarField.constant(g, -1.0),
         ScalarField.from_function(g, lambda x: 2.0 + np.sin(x)),
         ScalarField.constant(g, 0.0),
-        tol=1e-8,
     )
     u0 = ScalarField(g, 0.5 * (p.profile_minus.y1 + p.profile_plus.y1) * p.e0.values)
     star, _ = evolve_to_attractor(u0, p, tol=1e-9)
@@ -400,7 +398,7 @@ def test_criterion_10_spectral_enclosure():
             vals = vals + rng.uniform(-1, 1) * np.cos(k * x)
             vals = vals + rng.uniform(-1, 1) * np.sin(k * x)
         beta = ScalarField(g, vals)
-        r = ground_state(g, beta, tol=1e-8)
+        r = ground_state(g, beta)
         assert -beta.max() - 1e-9 <= r.lambda0 <= -beta.min() + 1e-9
         assert r.gap > 0.0
         assert r.e0.min() > 0.0
@@ -425,7 +423,7 @@ def test_criterion_11_parameter_smoothness():
         psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
         psi2_of_q=lambda q: ScalarField.constant(g, 0.0),
     )
-    res = sweep_ground_state(fam, tol=1e-8)
+    res = sweep_ground_state(fam)
     for i in range(0, 41, 5):
         q = res.q_points[i][0]
         dense = spectrum_oracle(g, fam.beta_of_q(q), 1)
@@ -461,7 +459,6 @@ def test_criterion_11_parameter_smoothness():
         fam_a.beta_of_q(q_last),
         fam_a.psi1_of_q(q_last),
         fam_a.psi2_of_q(q_last),
-        tol=tol,
     )
     mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1)
     cold, _ = evolve_to_attractor(

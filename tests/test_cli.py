@@ -452,6 +452,40 @@ def test_sweep_bad_tol_is_a_config_error(tmp_path, tol):
     assert summary is None
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+def test_attract_bad_tol_is_a_config_error_before_the_ground_state(
+    tmp_path, monkeypatch, tol
+):
+    def never(*args, **kwargs):
+        raise AssertionError("built the problem before checking tol")
+
+    monkeypatch.setattr(cli, "build_problem", never)
+    cfg = {"subcommand": "attract", "grid": {"dims": [[TWO_PI, 16]]},
+           "beta": {"const": -0.1}, "psi1": {"const": 1.0}, "psi2": {"const": 1.0},
+           "tol": tol}
+    code, out_dir, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"subcommand": "ground-state", "grid": {"dims": [[TWO_PI, 16]]},
+     "beta": {"form": "cos", "a": -0.1, "b": 0.3, "k": 1}},
+    {"subcommand": "curvature", "mode": "warp", "base_grid": {"dims": [[TWO_PI, 16]]},
+     "fiber_grid": {"dims": [[TWO_PI, 8]]},
+     "v": {"form": "cos", "a": 2.0, "b": 1.0, "k": 1}},
+], ids=["ground-state", "warp"])
+def test_tol_is_a_config_error_without_an_attractor(tmp_path, cfg):
+    # inverse iteration stops on its residual target alone, so only the
+    # attractor's subcommands take a tol
+    assert run_cli(tmp_path, cfg)[0] == 0
+    code, out_dir, _ = run_cli(tmp_path, {**cfg, "tol": 1e-8}, out="with_tol")
+    assert code == 2
+    assert not out_dir.exists()
+    assert [sub for sub, schema in _SCHEMAS.items()
+            if "tol" in schema["properties"]] == ["attract", "sweep"]
+
+
 def test_unknown_key_rejected(tmp_path):
     code, _, _ = run_cli(
         tmp_path,

@@ -393,6 +393,19 @@ def test_flow_halves_large_steps_alike_for_scalar_and_batch():
     np.testing.assert_array_equal(batch.values[:, 0], batch.values[:, 1])
 
 
+def test_flow_step_regrows_after_a_stiff_start():
+    # |phi'| is about A = 1e12 at y0 = 1 and 2*lambda0 = 16 near y1: the first
+    # steps halve twenty times, and a step that stayed halved would take
+    # 2**20 steps to reach T
+    p = make_profile(8.0, 1e12, 1.0)
+    traj = scalar_flow(1.0, p, T=1.0, dt=1.0)
+    steps = np.diff(traj.times)
+    assert steps.size <= 1000
+    assert steps.max() > 1e3 * steps[0]
+    assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
+    assert abs(traj.terminal - p.y1) <= 1e-5 * p.y1
+
+
 @pytest.mark.parametrize("y0", [2.0, np.array([2.0, 3.0])], ids=["scalar", "batch"])
 def test_flow_step_collapse_raises(y0):
     # sixty halvings of 1e300 still leave every stage far outside (0, inf)

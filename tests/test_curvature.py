@@ -172,12 +172,6 @@ def test_warp_constant_leaves_get_the_exact_ground_state():
         assert np.max(np.abs(u.values.reshape(32, 16)[:, j] - spectral.e0.values)) <= 1e-14
 
 
-def test_warp_rejects_a_bad_tol_with_constant_leaves():
-    base, fiber, _, v = product_fields(8, 8, lambda x, y: 2.0 + np.cos(y))
-    with pytest.raises(ValueError, match="tol must lie"):
-        ground_state_warp(TwistedProduct(base, fiber, v), tol=1e-3)
-
-
 def test_warp_two_dimensional_base():
     base = make_torus_grid([(2 * np.pi, 8), (2 * np.pi, 8)])
     fiber = make_circle_grid(2 * np.pi, 4)

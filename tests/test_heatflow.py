@@ -26,26 +26,23 @@ from groundflow.errors import BasinError
 U_STAR_FIG3 = 2.978755335069904  # largest root of 0.1 u^4 - u^2 + 1 = 0
 
 
-def constant_problem(n=128, length=2 * np.pi, beta=-0.1, psi1=1.0, psi2=1.0,
-                     tol=1e-8):
+def constant_problem(n=128, length=2 * np.pi, beta=-0.1, psi1=1.0, psi2=1.0):
     g = make_circle_grid(length, n)
     return build_problem(
         g,
         ScalarField.constant(g, beta),
         ScalarField.constant(g, psi1),
         ScalarField.constant(g, psi2),
-        tol=tol,
     )
 
 
-def sine_problem(n=128, tol=1e-8):
+def sine_problem(n=128):
     g = make_circle_grid(2 * np.pi, n)
     return build_problem(
         g,
         ScalarField.constant(g, -0.1),
         ScalarField.from_function(g, lambda x: 1.0 + 0.3 * np.sin(x)),
         ScalarField.constant(g, 1.0),
-        tol=tol,
     )
 
 
@@ -181,7 +178,7 @@ def test_step_rejects_nonpositive_field():
 
 
 def test_attractor_constant_problem():
-    p = constant_problem(n=128, tol=1e-10)
+    p = constant_problem(n=128)
     u0 = ScalarField.constant(p.grid, 2.0)
     u_star, trace = evolve_to_attractor(u0, p, tol=1e-10)
     assert np.max(np.abs(u_star.values - U_STAR_FIG3)) < 1e-8
@@ -258,7 +255,6 @@ def test_attractor_on_torus():
         ScalarField.constant(g, -0.1),
         ScalarField.constant(g, 1.0),
         ScalarField.constant(g, 1.0),
-        tol=1e-8,
     )
     u0 = ScalarField.constant(g, 2.0)
     u_star, trace = evolve_to_attractor(u0, p, tol=1e-8)
@@ -300,7 +296,7 @@ def test_dt_limits_binding_terms():
 def test_dt_limits_with_subnormal_psi2():
     # psi1/(6*psi2) overflows for a subnormal psi2; the peak is clipped to
     # 1/lo**2 there, so the start is 1/g(u) = u**2 at u = 0.5
-    p = constant_problem(n=16, beta=-0.125, psi2=5e-324, tol=1e-9)
+    p = constant_problem(n=16, beta=-0.125, psi2=5e-324)
     mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1) * p.e0.values
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -312,7 +308,7 @@ def test_dt_limits_with_subnormal_psi2():
 def test_attract_workload_step_count(monkeypatch, factor_count):
     # the benchmark's attract problem, where a start at h**2/4 takes 993
     # steps with 20 distinct dt
-    p = sine_problem(n=2048, tol=1e-9)
+    p = sine_problem(n=2048)
     factor_count.clear()
     passes = []
     march = heatflow._march
@@ -342,7 +338,7 @@ def test_attract_workload_step_count(monkeypatch, factor_count):
 
 def test_attractor_memory_flat_in_step_count():
     # kept states would add one state per step: 91 and 115 states at peak
-    p = sine_problem(n=2048, tol=1e-9)
+    p = sine_problem(n=2048)
     state_bytes = p.e0.values.nbytes
     peaks, steps = [], []
     for ratio in (7.0, 100.0):

@@ -181,7 +181,6 @@ def test_warm_start_equals_cold_start():
         fam.beta_of_q(q_last),
         fam.psi1_of_q(q_last),
         fam.psi2_of_q(q_last),
-        tol=tol,
     )
     mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1)
     cold0 = ScalarField(fam.grid, mid * p.e0.values)
@@ -318,7 +317,7 @@ def _assert_newton_matches_flow(p, tol):
 def test_newton_cold_starts_match_flow_on_corollary_family(q):
     fam = corollary_family(n=64)
     tol = 1e-9
-    p = build_problem(fam.grid, *fam.at((q,)), tol=tol)
+    p = build_problem(fam.grid, *fam.at((q,)))
     _assert_newton_matches_flow(p, tol)
 
 
@@ -331,7 +330,6 @@ def test_newton_cold_starts_match_flow_on_torus(b):
         ScalarField.from_function(g, lambda x, y: -0.1 + b * np.cos(x)),
         ScalarField.constant(g, 1.0),
         ScalarField.constant(g, 1.0),
-        tol=tol,
     )
     _assert_newton_matches_flow(p, tol)
 
@@ -347,7 +345,6 @@ def test_newton_on_16384_point_circle():
         ScalarField.from_function(g, lambda x: -0.1 + 0.03 * np.cos(x)),
         ScalarField.constant(g, 1.0),
         ScalarField.constant(g, 1.0),
-        tol=tol,
     )
     mid = 0.5 * (p.profile_minus.y1 + p.profile_plus.y1)
     u = _newton_stationary(mid * p.e0.values, p, tol)
@@ -356,14 +353,13 @@ def test_newton_on_16384_point_circle():
     assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
 
 
-def _cosine_circle_problem(n=64, tol=1e-9):
+def _cosine_circle_problem(n=64):
     g = make_circle_grid(2 * np.pi, n)
     return build_problem(
         g,
         ScalarField.from_function(g, lambda x: -0.05 + 0.04 * np.cos(x)),
         ScalarField.constant(g, 1.0),
         ScalarField.constant(g, 1.0),
-        tol=tol,
     )
 
 
@@ -476,14 +472,13 @@ def _assert_same_root(u, fresh):
     assert np.max(np.abs(u.values - fresh.values)) <= 1e-12 * np.max(fresh.values)
 
 
-def _torus_problem(b, tol):
+def _torus_problem(b):
     g = make_torus_grid([(2 * np.pi, 32), (2 * np.pi, 32)])
     return build_problem(
         g,
         ScalarField.from_function(g, lambda x, y: -0.1 + b * np.cos(x)),
         ScalarField.constant(g, 1.0),
         ScalarField.constant(g, 1.0),
-        tol=tol,
     )
 
 
@@ -492,10 +487,9 @@ def test_newton_carried_factor_matches_fresh_factor(family):
     tol = 1e-9
     if family == "corollary":
         fam = corollary_family(n=64)
-        problems = [build_problem(fam.grid, *fam.at((q,)), tol=tol)
-                    for q in (0.1, 0.3, 0.5)]
+        problems = [build_problem(fam.grid, *fam.at((q,))) for q in (0.1, 0.3, 0.5)]
     else:
-        problems = [_torus_problem(b, tol) for b in (0.02, 0.04)]
+        problems = [_torus_problem(b) for b in (0.02, 0.04)]
     held = {}
     for p in problems:
         fresh = _newton_stationary(_mid_start(p), p, tol)
@@ -506,7 +500,7 @@ def test_newton_carried_factor_matches_fresh_factor(family):
 def test_newton_far_factor_still_certifies(factor_count):
     tol = 1e-9
     fam = corollary_family(n=64)
-    first, last = (build_problem(fam.grid, *fam.at((q,)), tol=tol) for q in (0.0, 0.5))
+    first, last = (build_problem(fam.grid, *fam.at((q,))) for q in (0.0, 0.5))
     held = {}
     _newton_stationary(_mid_start(first), first, tol, held)
     (solve,) = held.values()

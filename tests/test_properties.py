@@ -99,7 +99,7 @@ def _reduced(g, beta):
 
 def _check_against_oracle(g, beta):
     lo = spectrum_oracle(g, beta, 2)
-    lam, _, _, _, _, mu = schrodinger._least_eigenpair(*_reduced(g, beta), 1e-8)
+    lam, _, _, _, _, mu = schrodinger._least_eigenpair(*_reduced(g, beta))
     assert mu < lo[0]
     r = ground_state(g, beta)
     assert r.lambda0 == lam
@@ -182,7 +182,6 @@ def test_newton_matches_flow_on_admissible_circles(
             ScalarField.from_function(g, lambda x: -decay * (1.0 + wobble * np.cos(x))),
             ScalarField.from_function(g, lambda x: 1.0 + psi1_wobble * np.sin(x)),
             ScalarField.constant(g, psi2),
-            tol=tol,
         )
     except AdmissibilityError:
         assume(False)

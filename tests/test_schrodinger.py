@@ -42,7 +42,7 @@ def test_shift_examples():
 def test_shift_is_the_one_inverse_iteration_applies():
     g = make_torus_grid([(TWO_PI, 16), (TWO_PI, 16)])
     beta = ScalarField.from_function(g, lambda x, y: -0.1 + 0.03 * np.cos(x))
-    *_, mu = schrodinger._least_eigenpair(g, beta, 1e-8)
+    *_, mu = schrodinger._least_eigenpair(g, beta)
     assert mu == shift_for_positivity(beta)
 
 
@@ -60,7 +60,7 @@ def test_constant_potential_is_exact():
 def test_cosine_potential_matches_dense_oracle():
     g = make_circle_grid(2 * np.pi, 128)
     beta = ScalarField.from_function(g, lambda x: 2 * np.cos(x))
-    r = ground_state(g, beta, tol=1e-8)
+    r = ground_state(g, beta)
     dense = scipy.linalg.eigh(
         -looped_laplacian_matrix(g) - np.diag(beta.values), eigvals_only=True
     )
@@ -72,6 +72,25 @@ def test_cosine_potential_matches_dense_oracle():
     r3 = ground_state(g3, ScalarField.from_function(g3, lambda x: 2 * np.cos(x)))
     ratio = (r.lambda0 - r2.lambda0) / (r2.lambda0 - r3.lambda0)
     assert 3.4 <= ratio <= 4.6
+
+
+@pytest.mark.parametrize("a", [2.0, 5.0, 10.0, 20.0])
+def test_small_gaps_match_dense_oracle(a):
+    # the double well a*cos(2x) splits its two lowest levels by 0.34, 0.077,
+    # 0.010 and 4.3e-4: the residual target alone must still pin lambda0,
+    # the gap and e0, since lambda0 lies within residual**2/gap of the quotient
+    g = make_circle_grid(TWO_PI, 256)
+    beta = ScalarField.from_function(g, lambda x: a * np.cos(2 * x))
+    r = ground_state(g, beta)
+    dense, vectors = scipy.linalg.eigh(
+        -looped_laplacian_matrix(g) - np.diag(beta.values), subset_by_index=[0, 1]
+    )
+    e0 = vectors[:, 0] / np.sqrt(g.cell_volume * vectors[:, 0] @ vectors[:, 0])
+    e0 *= np.sign(e0.sum())
+    gap = dense[1] - dense[0]
+    assert abs(r.lambda0 - dense[0]) <= 1e-11
+    assert abs(r.gap - gap) <= 1e-8 * gap
+    assert np.max(np.abs(r.e0.values - e0)) <= 1e-8
 
 
 def test_enclosure_for_cosine():
@@ -158,15 +177,6 @@ def test_dense_cap_enforced():
     over = make_circle_grid(1.0, DENSE_CAP + 1)
     with pytest.raises(ValueError, match="capped"):
         spectrum_oracle(over, ScalarField.constant(over, 0.0), 1)
-
-
-def test_tolerance_validation():
-    g = make_circle_grid(2 * np.pi, 16)
-    beta = ScalarField.constant(g, 0.0)
-    with pytest.raises(ValueError):
-        ground_state(g, beta, tol=1e-5)
-    with pytest.raises(ValueError):
-        ground_state(g, beta, tol=0.0)
 
 
 def test_torus_ground_state_positive():
@@ -292,7 +302,7 @@ def test_shift_below_lambda0_needs_few_iterations():
     # shift below -max(beta) took 30 iterations here
     g = make_torus_grid([(TWO_PI, 32), (TWO_PI, 32)])
     beta = ScalarField.from_function(g, lambda x, y: -0.1 + 0.03 * np.cos(x))
-    lam, _, iterations, _, _, mu = schrodinger._least_eigenpair(g, beta, 1e-8)
+    lam, _, iterations, _, _, mu = schrodinger._least_eigenpair(g, beta)
     assert iterations <= 12
     assert mu < spectrum_oracle(g, beta, 1)[0]
     assert lam == pytest.approx(spectrum_oracle(g, beta, 1)[0], abs=1e-10)
