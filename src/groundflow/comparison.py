@@ -236,9 +236,12 @@ def scalar_flow(
 
     ``y0`` may be a scalar, integrated on Python floats, or an array (a
     batch of trajectories advanced in lockstep on numpy arrays).  The step
-    is halved whenever a stage or an iterate would leave (0, inf); a halved
-    step stays halved, and the step doubles every 50 accepted steps up to
-    ``dt``, so a stiff start does not pin the whole run to its least step.
+    is halved whenever a stage or an iterate would leave (0, inf), or the
+    slope at the iterate has the opposite sign to the slope at the start:
+    the exact flow is monotone and never crosses a root of phi, so such a
+    step has jumped past y1.  A halved step stays halved, and the step
+    doubles every 50 accepted steps up to ``dt``, so a stiff start does
+    not pin the whole run to its least step.
     Initial data at or below the inner root y2 escapes toward zero and is
     rejected.
     """
@@ -264,8 +267,9 @@ def scalar_flow(
         return -lam * y + A / y - B / y**3
 
     # A scalar start runs on Python floats, which skips numpy's per-call
-    # overhead; a batch runs on arrays in lockstep.  Only the test for
-    # "every entry lies in (0, inf)" and the float guard below differ.
+    # overhead; a batch runs on arrays in lockstep.  Only the tests for
+    # "every entry lies in (0, inf)" and "no slope changed sign" and the
+    # float guard below differ.
     # Neither state is ever updated in place, so records need no copy.
     if np.ndim(y0) == 0:
         y = float(y0)
@@ -281,6 +285,9 @@ def scalar_flow(
 
         def inside(x):
             return 0.0 < x < math.inf
+
+        def same_sign(a, b):
+            return a * b >= 0.0
     else:
         y = y0_arr.copy()
         slope = rhs
@@ -288,23 +295,28 @@ def scalar_flow(
         def inside(x):
             return bool(((x > 0.0) & (x < math.inf)).all())
 
+        def same_sign(a, b):
+            return bool((a * b >= 0.0).all())
+
     end = T - 1e-12 * max(T, 1.0)
     times = [0.0]
     records = [y]
     t = 0.0
     accepted = 0
+    k1 = slope(y)
     while t < end:
         step = min(dt, T - t)
-        k1 = slope(y)
         for _ in range(60):
             y_new = _rk4_step(slope, inside, y, k1, step)
             if y_new is not None:
-                break
+                k_new = slope(y_new)  # the next step's k1
+                if same_sign(k_new, k1):
+                    break
             step *= 0.5
             dt = step
         else:
             raise BlowdownError("step size collapsed; trajectory escapes (0, inf)")
-        y = y_new
+        y, k1 = y_new, k_new
         t += step
         accepted += 1
         if accepted % record_every == 0 or t >= end:

@@ -92,8 +92,9 @@ def ground_state_warp(tp: TwistedProduct):
     leaf when v varies along the fiber only, has the exact ground state
     lambda0 = -c with a constant eigenvector, since the stencil Laplacian
     maps a constant to exactly 0; it gets that pair with no factor and no
-    iteration.  Every other leaf goes through shifted inverse iteration,
-    which stops on its eigen-residual target alone.
+    iteration.  Every other leaf goes through the Lanczos run on its own
+    shifted factor that ``ground_state`` makes, which stops on its
+    eigen-residual target alone.
     """
     grid = tp.product_grid
     base_n = tp.base_grid.total_points
@@ -112,7 +113,7 @@ def ground_state_warp(tp: TwistedProduct):
         if beta_leaf.min() == beta_leaf.max():
             lam, e0 = -float(beta_leaf[0]), constant
         else:
-            # only the eigenpair is used, so the gap estimate is skipped
+            # the eigen-solver of ground_state; the leaf's gap is not used
             lam, e0, *_ = _least_eigenpair(
                 tp.base_grid, ScalarField(tp.base_grid, beta_leaf)
             )

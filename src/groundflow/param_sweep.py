@@ -222,7 +222,7 @@ def _sweep_result(family: ParamFamily, solved: list, u_stars=None) -> SweepResul
 def sweep_ground_state(family: ParamFamily) -> SweepResult:
     """Ground state at every parameter point, plus difference tables.
 
-    Each ground state is converged to inverse iteration's residual target.
+    Each ground state is converged to the eigen-solver's residual target.
     Positivity and normalization pin the eigenvector sign at every q, so
     no alignment between neighboring parameters is needed.
     """

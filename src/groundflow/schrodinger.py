@@ -1,34 +1,36 @@
-"""Least eigenvalue and positive ground state of H = -Laplacian - beta.
+"""Least eigenvalue, positive ground state and gap of H = -Laplacian - beta.
 
 The operator is discretized as ``-L - diag(beta)`` with L the periodic
 stencil Laplacian, so it is symmetric under the uniform-weight inner
 product and its least eigenvalue is simple with a positive eigenvector
-(M-matrix structure after the shift below).  The ground state is computed
-by inverse iteration on the shifted operator H - mu, which is positive
-definite for mu below -max(beta).  The next level lambda1 comes from
-Lanczos on (H - mu)^-1 with the ground state deflated, using the same
-factor of H - mu.
+(M-matrix structure after the shift below).  One Lanczos run on
+(H - mu)^-1, applied through one factor of H - mu, gives lambda0, e0 and
+the gap to lambda1 together (spectral transformation; Ericsson & Ruhe,
+Math. Comp. 35, 1980).
 
 The shift sits just below lambda0.  The Rayleigh quotient of a constant
 gives -max(beta) <= lambda0 <= -mean(beta), so mu = -max(beta) - delta
-with delta = max(max(beta) - mean(beta), 0.01) keeps H - mu positive
-definite with least eigenvalue at least delta, and lambda0 - mu is at
-most 2*delta unless the floor binds.  The floor covers constant beta,
-where lambda0 = -max(beta) exactly.  Inverse iteration contracts by
-(lambda0 - mu)/(lambda1 - mu) per step, so the close shift takes a half
-to a quarter of the iterations of the unit shift below -max(beta).
+with delta = max(max(beta) - mean(beta), 0.01, 4 ulp(max(beta))) keeps
+H - mu positive definite with least eigenvalue at least delta, and
+lambda0 - mu is at most 2*delta unless a floor binds.  The floor 0.01
+covers constant beta, where lambda0 = -max(beta) exactly; the ulp one
+binds only where 0.01 would round away in mu (|beta| > 1e13), as a
+larger delta would crowd the top eigenvalues of (H - mu)^-1.  The
+eigenvalues of (H - mu)^-1 are 1/(lambda_i - mu), so the close shift sets
+the top one, theta0 = 1/(lambda0 - mu), well apart from the others, which
+is what makes its Ritz value and vector converge in few steps.
 
 Where beta is constant along some torus axes, the problem is solved on the
 grid of the other axes.  An axis is dropped when every slice of beta across
 it equals the first one exactly, with no tolerance; at least one axis is
-kept, so a constant beta still goes through inverse iteration.  The full
+kept, so a constant beta still goes through the Lanczos run.  The full
 operator is then the Kronecker sum of the reduced one and -L on the
 dropped axes, so lambda0 and e0 (broadcast along the dropped axes) are the
 reduced ones, and lambda1 = min(reduced lambda1, lambda0 + nu) with nu the
 least nonzero level of -L on the dropped axes, min_d (4/h_d^2) sin^2(pi/N_d)
 (Horn & Johnson, Topics in Matrix Analysis, 1991, Thm 4.4.5).  The lifted
-pair's eigen-residual is recomputed on the full grid and held to inverse
-iteration's own target, which checks the reduction on every call.
+pair's eigen-residual is recomputed on the full grid and held to the
+Lanczos run's own target, which checks the reduction on every call.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .grid import (
     laplacian_values,
 )
 
-_MAX_ITERATIONS = 2000
 _RESIDUAL_FRACTION = 0.5e-10  # target residual relative to max(1, |lambda0|)
 _LANCZOS_STEPS = 300
 _LANCZOS_TOL = 1e-13  # Ritz residual bound relative to the Ritz value
@@ -73,9 +74,10 @@ class SpectralResult:
 
 
 def shift_for_positivity(beta: ScalarField) -> float:
-    """The shift mu of the inverse iteration, with H - mu positive definite.
+    """The shift mu of the eigen-solver, with H - mu positive definite.
 
-    mu = -max(beta) - delta, delta = max(max(beta) - mean(beta), 0.01),
+    mu = -max(beta) - delta with
+    delta = max(max(beta) - mean(beta), 0.01, 4 ulp(max(beta))),
     just below lambda0 (see the module docstring).
     """
     b_max, delta = _shift_parts(beta.values)
@@ -85,7 +87,7 @@ def shift_for_positivity(beta: ScalarField) -> float:
 def _shift_parts(b: np.ndarray):
     """``(max(beta), delta)`` with the shift mu = -max(beta) - delta."""
     b_max = float(b.max())
-    return b_max, max(b_max - float(b.mean()), _SHIFT_FLOOR)
+    return b_max, max(b_max - float(b.mean()), _SHIFT_FLOOR, 4 * np.spacing(abs(b_max)))
 
 
 def _weighted_norm(values: np.ndarray, vol: float) -> float:
@@ -94,26 +96,25 @@ def _weighted_norm(values: np.ndarray, vol: float) -> float:
 
 def _unit_constant(grid: Grid) -> np.ndarray:
     """The constant of unit discrete L2 norm: the ground state for constant
-    beta, and the start vector of inverse iteration."""
+    beta."""
     v = np.full(grid.total_points, 1.0)
     v /= _weighted_norm(v, grid.cell_volume)
     return v
 
 
 def ground_state(grid: Grid, beta: ScalarField) -> SpectralResult:
-    """Ground state of -L - beta by shifted inverse iteration, with its gap.
+    """Ground state of -L - beta and its gap, by Lanczos on (H - mu)^-1.
 
-    The least eigenpair comes from ``_least_eigenpair``, which stops on its
-    eigen-residual target alone, so there is no tolerance to pass; the
-    next level is then found by Lanczos on the inverse of the same shifted
-    factor with the ground state deflated, and the gap must be positive.
+    lambda0, e0 and the gap come from one run of ``_least_eigenpair``,
+    which stops on its eigen-residual target alone, so there is no
+    tolerance to pass; the gap must be positive.
 
-    Both run on the grid of the axes along which beta varies (axis 0 when
-    it varies along none), with beta sliced at index 0 of the others; see
-    the module docstring.  The pair is lifted back as a broadcast along
+    The run is on the grid of the axes along which beta varies (axis 0
+    when it varies along none), with beta sliced at index 0 of the others;
+    see the module docstring.  The pair is lifted back as a broadcast along
     the dropped axes, renormalized, and its eigen-residual recomputed on
-    the full grid, where it must meet inverse iteration's own target.
-    ``iterations`` counts the reduced solve's steps.
+    the full grid, where it must meet the same target.  ``iterations``
+    counts the reduced run's Lanczos steps.
     """
     _check_same_grid(grid, beta)
     values = beta.values.reshape(grid.shape)
@@ -123,10 +124,9 @@ def ground_state(grid: Grid, beta: ScalarField) -> SpectralResult:
     ] or [0]
     sub = Grid(tuple(grid.dims[ax] for ax in kept))
     index = tuple(slice(None) if ax in kept else 0 for ax in range(grid.ndim))
-    lam, v, iterations, residual, solve, mu = _least_eigenpair(
+    lam, v, iterations, residual, gap, _ = _least_eigenpair(
         sub, ScalarField(sub, values[index])
     )
-    gap = _second_eigenvalue(solve, v, sub.cell_volume, mu) - lam
     if sub.ndim < grid.ndim:
         # the least nonzero level of -L along the dropped axes
         nu = min(
@@ -166,22 +166,32 @@ def _residual_target(grid: Grid, lam: float) -> float:
 
 @np.errstate(all="ignore")  # a step out of float range fails below, unwarned
 def _least_eigenpair(grid: Grid, beta: ScalarField):
-    """Least eigenpair of -L - beta by shifted inverse iteration.
+    """Least eigenpair of -L - beta and the gap, by Lanczos on (H - mu)^-1.
 
-    The shift is mu = -max(beta) - max(max(beta) - mean(beta), 0.01),
-    just below lambda0 (see the module docstring).  Iterates solves of
-    (H - mu) w = v with renormalization until the eigen-residual r of the
-    Rayleigh quotient drops below 0.5e-10 * max(1, |lambda0|), or below
+    The shift is mu = -max(beta) - delta (see the module docstring), and
+    ``solve`` applies (H - mu)^-1, whose eigenvalues are 1/(lambda_i - mu):
+    the top two Ritz values theta0 > theta1 approximate 1/(lambda0 - mu)
+    and 1/(lambda1 - mu).  The start vector is the constant plus 1e-3 times
+    fixed-seed normals, so that every level is within reach, and each new
+    Lanczos vector is reorthogonalized against the whole basis by two
+    classical Gram-Schmidt passes, so the result is reproducible and
+    nearly degenerate levels converge without stalling.
+
+    Once both Ritz values have residual bounds below ``_LANCZOS_TOL``
+    times themselves, or the Krylov space is exhausted, the candidate e0
+    is one more solve applied to |x|, x the top Ritz vector: H - mu is an
+    M-matrix, so its inverse is entrywise positive and so is e0.  lambda0
+    is the Rayleigh quotient of e0, and the candidate is accepted only when
+    its eigen-residual r drops below 0.5e-10 * max(1, |lambda0|), or below
     the round-off in applying L (machine epsilon times its norm bound
-    sum_d 4/h_d^2) where that is larger, as on fine 1-d grids.  That is
-    the only stop rule: the quotient then lies within r^2/gap of lambda0
-    (Kato-Temple; Parlett, The Symmetric Eigenvalue Problem, 1998), which
-    is round-off, so a test on its change between steps would only add
-    steps.  A step whose quotient or residual is not finite fails at
-    once.  The sign is fixed so the mean is positive; strict pointwise
-    positivity is then asserted.  Returns
-    ``(lambda0, e0 values, iterations, residual, solve, mu)``, the last
-    two being the solver of H - mu and the shift, for further use.
+    sum_d 4/h_d^2) where that is larger, as on fine 1-d grids; the
+    quotient then lies within r^2/gap of lambda0 (Kato-Temple; Parlett,
+    The Symmetric Eigenvalue Problem, 1998).  Otherwise the run goes on,
+    for at most 300 steps; a miss with the Krylov space exhausted fails.
+    The gap is 1/theta1 - 1/theta0, so nothing of the size of beta is
+    subtracted.  A step whose numbers are not finite fails at once, and
+    e0 must be strictly positive.  Returns
+    ``(lambda0, e0 values, steps, residual, gap, mu)``.
     """
     _check_same_grid(grid, beta)
     vol = grid.cell_volume
@@ -190,75 +200,50 @@ def _least_eigenpair(grid: Grid, beta: ScalarField):
     mu = -b_max - delta
     solve = spd_solver(grid, 1.0, -b - mu)
 
-    v = _unit_constant(grid)
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        v = solve(v)
-        v /= _weighted_norm(v, vol)
-        hv = -laplacian_values(grid, v) - b * v
-        lam = vol * float(np.dot(v, hv))
-        residual = _weighted_norm(hv - lam * v, vol)
-        if not (abs(lam) < np.inf and residual < np.inf):  # nan or inf
-            message = f"inverse iteration left float range at step {iterations}"
-            raise ConvergenceError(message, residual=residual)
-        if residual <= _residual_target(grid, lam):
-            break
-    else:
-        raise ConvergenceError(
-            f"inverse iteration did not converge in {_MAX_ITERATIONS} steps "
-            f"(residual={residual:.3e})",
-            residual=residual,
+    n = b.size
+    q = 1.0 + 1e-3 * np.random.RandomState(12345).standard_normal(n)
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(n, _LANCZOS_STEPS), n))  # rows touched as written
+    diag, offdiag = [], []
+    for k in range(len(basis)):
+        basis[k] = q
+        w = solve(q)
+        diag.append(np.dot(q, w))
+        for _ in range(2):
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        norm = np.linalg.norm(w)
+        theta, s = scipy.linalg.eigh_tridiagonal(
+            diag, offdiag, select="i", select_range=(max(k - 1, 0), k)
         )
-
-    if float(v.sum()) < 0.0:
-        v = -v
+        # the Krylov space is exhausted, or breaks down, or leaves float range
+        exhausted = k + 1 == n or not 0.0 < norm < np.inf
+        if exhausted or k and (norm * abs(s[-1]) <= _LANCZOS_TOL * theta).all():
+            v = solve(np.abs(basis[: k + 1].T @ s[:, -1]))
+            v /= _weighted_norm(v, vol)
+            hv = -laplacian_values(grid, v) - b * v
+            lam = vol * float(np.dot(v, hv))
+            residual = _weighted_norm(hv - lam * v, vol)
+            if not (abs(lam) < np.inf and residual < np.inf):  # nan or inf
+                message = f"Lanczos left float range at step {k + 1}"
+                raise ConvergenceError(message, residual=residual)
+            if residual <= _residual_target(grid, lam):
+                break
+            if exhausted:
+                message = f"Lanczos exhausted its Krylov space at step {k + 1}"
+                raise ConvergenceError(message, residual=residual)
+        offdiag.append(norm)
+        q = w / norm
+    else:
+        raise ConvergenceError(f"Lanczos did not converge in {k + 1} steps")
     if float(v.min()) <= 0.0:
         raise ConvergenceError(
             "converged eigenvector is not strictly positive "
             f"(min={v.min():.3e}); input looks pathological",
             residual=residual,
         )
-    return lam, v, iterations, residual, solve, mu
-
-
-def _second_eigenvalue(solve, e0, vol, mu) -> float:
-    """lambda1 by Lanczos on (H - mu)^-1 with e0 deflated (gap estimation only).
-
-    ``solve`` applies (H - mu)^-1, whose eigenvalues are 1/(lambda_i - mu);
-    with e0 projected out after every solve its largest is 1/(lambda1 - mu).
-    The start vector is fixed, and each new Lanczos vector is
-    reorthogonalized against the whole basis by two classical Gram-Schmidt
-    passes, so the result is reproducible and nearly degenerate levels
-    converge without stalling.  Iteration stops once the top Ritz value
-    theta has a residual bound below ``_LANCZOS_TOL * theta`` or the
-    deflated Krylov space is exhausted; lambda1 is then mu + 1/theta.
-    """
-    n = e0.size
-    steps = min(n - 1, _LANCZOS_STEPS)
-    q = np.random.RandomState(12345).standard_normal(n)
-    q -= e0 * (vol * np.dot(e0, q))
-    q /= np.linalg.norm(q)
-    basis = np.empty((0, n))  # grown 32 rows at a time, as the steps need
-    diag, offdiag = [], []
-    for k in range(steps):
-        if k == len(basis):
-            basis = np.concatenate([basis, np.empty((32, n))])
-        basis[k] = q
-        w = solve(q)
-        w -= e0 * (vol * np.dot(e0, w))
-        diag.append(np.dot(q, w))
-        for _ in range(2):
-            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
-        norm = np.linalg.norm(w)
-        theta, s = scipy.linalg.eigh_tridiagonal(
-            diag, offdiag, select="i", select_range=(k, k)
-        )
-        if norm * abs(s[-1, 0]) <= _LANCZOS_TOL * theta[0] or k + 1 == n - 1:
-            return mu + 1.0 / float(theta[0])
-        offdiag.append(norm)
-        q = w / norm
-    raise ConvergenceError(
-        f"Lanczos for the spectral gap did not converge in {steps} steps"
-    )
+    # theta ascends; a single Ritz value (breakdown at step 1) gives gap 0
+    gap = 1.0 / float(theta[0]) - 1.0 / float(theta[-1])
+    return lam, v, k + 1, residual, gap, mu
 
 
 def spectrum_oracle(grid: Grid, beta: ScalarField, k: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Shared pytest set-up: a fixed hypothesis profile for the property tests,
-and a counter of sparse factors.
+and counters of sparse factors and of the eigen-solver's solves.
 
 The profile draws the same few examples on every run (``derandomize``) and
 keeps no example database, so the suite stays deterministic and quick.
@@ -7,7 +7,7 @@ keeps no example database, so the suite stays deterministic and quick.
 
 import pytest
 
-from groundflow import _solve
+from groundflow import _solve, schrodinger
 
 try:
     from hypothesis import settings
@@ -33,3 +33,22 @@ def factor_count(monkeypatch):
 
     monkeypatch.setattr(_solve, "splu", counting)
     return built
+
+
+@pytest.fixture
+def solve_count(monkeypatch):
+    """One-entry list counting the solves with every factor the eigen-solver
+    builds: its Lanczos steps and the solves that form e0."""
+    solves = [0]
+    make_solver = _solve.spd_solver
+
+    def counting_solver(*args):
+        solve = make_solver(*args)
+
+        def counted(rhs):
+            solves[0] += 1
+            return solve(rhs)
+        return counted
+
+    monkeypatch.setattr(schrodinger, "spd_solver", counting_solver)
+    return solves

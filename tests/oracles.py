@@ -75,8 +75,12 @@ def sampled_decay_rate(sigma, profile, n=10_000):
     return -max(float(np.max(-lam - A / ys**2 + 3.0 * B / ys**4)), -lam)
 
 
-def scalar_ode_reference(lam, A, B, y0, t_eval):
-    """High-accuracy solution of y' = -lam*y + A/y - B/y^3."""
+def scalar_ode_reference(lam, A, B, y0, t_eval, method="DOP853"):
+    """High-accuracy solution of y' = -lam*y + A/y - B/y^3.
+
+    DOP853 is explicit; from a stiff start, where |phi'(y0)| is about A,
+    pass ``method="Radau"``, which is implicit.
+    """
     sol = solve_ivp(
         lambda _, y: -lam * y + A / y - B / y**3,
         (0.0, float(t_eval[-1])),
@@ -84,7 +88,7 @@ def scalar_ode_reference(lam, A, B, y0, t_eval):
         t_eval=t_eval,
         rtol=1e-12,
         atol=1e-14,
-        method="DOP853",
+        method=method,
     )
     assert sol.success
     return sol.y[0]

@@ -80,6 +80,38 @@ def test_ground_state_subcommand(tmp_path):
     assert len(lines) == 33
 
 
+@pytest.mark.parametrize("c", [1e16, -1e16])
+def test_ground_state_of_a_huge_constant_potential(tmp_path, c):
+    # the shift's floor scales with max|beta|, so it does not round away in
+    # mu = -max(beta) - delta, and the gap 1/theta1 - 1/theta0 subtracts
+    # nothing of the size of beta
+    code, _, summary = run_cli(
+        tmp_path, {"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
+                   "beta": {"const": c}},
+    )
+    assert code == 0
+    assert summary["lambda0"] == -c
+    h = 6.28 / 8
+    gap = 4.0 / h**2 * np.sin(np.pi / 8) ** 2  # the least nonzero level of -L
+    assert summary["gap"] == pytest.approx(gap, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e12, 1e13, 1e14])
+def test_ground_state_of_a_large_constant_on_a_long_axis(tmp_path, c):
+    # the least nonzero level of -L is 1e-4 here; a shift floor larger than
+    # 0.01 rounding needs would crowd theta1 against the rest of the spectrum
+    # of (H - mu)^-1 and keep the Lanczos run from converging in its steps
+    code, _, summary = run_cli(
+        tmp_path, {"subcommand": "ground-state", "grid": {"dims": [[628.0, 1000]]},
+                   "beta": {"const": c}},
+    )
+    assert code == 0
+    assert abs(summary["lambda0"] + c) <= 1e-14 * c
+    h = 628.0 / 1000
+    gap = 4.0 / h**2 * np.sin(np.pi / 1000) ** 2
+    assert summary["gap"] == pytest.approx(gap, rel=1e-11, abs=0.0)
+
+
 def _run_in_fresh_interpreters(tmp_path, cfg, names=("fresh1", "fresh2")):
     """Run ``cfg`` through the CLI once per name, each in a new interpreter."""
     path = tmp_path / "config.json"
@@ -476,7 +508,7 @@ def test_attract_bad_tol_is_a_config_error_before_the_ground_state(
      "v": {"form": "cos", "a": 2.0, "b": 1.0, "k": 1}},
 ], ids=["ground-state", "warp"])
 def test_tol_is_a_config_error_without_an_attractor(tmp_path, cfg):
-    # inverse iteration stops on its residual target alone, so only the
+    # the eigen-solver stops on its residual target alone, so only the
     # attractor's subcommands take a tol
     assert run_cli(tmp_path, cfg)[0] == 0
     code, out_dir, _ = run_cli(tmp_path, {**cfg, "tol": 1e-8}, out="with_tol")
@@ -658,7 +690,7 @@ def _strict_json(text):
     pytest.param({**_ORBIT, "dt": 1e-320}, "OverflowError", id="phase-step-count"),
     pytest.param({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
                   "beta": {"const": 1e300}}, "ConvergenceError",
-                 id="singular-factor"),
+                 id="singular-factor"),  # now the Lanczos vector underflows
     pytest.param({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
                   "beta": {"form": "cos", "a": 0.0, "b": 1e300, "k": 1}},
                  "ConvergenceError", id="ground-state-nan"),

@@ -5,7 +5,8 @@ Every schema-valid config of ``roots``, ``ode``, ``phase``,
 or 3 and never escape ``main`` with an exception (a traceback at the
 command line).
 Exit 2 leaves no output directory; exits 0 and 3 write ``summary.json``,
-which must be strict JSON: no ``NaN`` or ``Infinity``.
+which must be strict JSON: no ``NaN`` or ``Infinity``.  An ``ode`` flow
+that exits 0 must end on its start's side of ``target_y1``.
 Warnings are not filtered, so a ``RuntimeWarning`` fails the test too.
 
 The draws are bounded so that no config can start a long run: at most 16
@@ -222,7 +223,7 @@ _ORBIT = {"subcommand": "phase", "beta": -1.0, "psi1": 1.0, "psi2": 1.0, "v0": 0
 # a stiff start halved the flow's step for good: minutes of steps, memory past 1 GB
 @example({"subcommand": "ode", "beta": -8.077094270785885, "psi1": 1e19,
           "psi2": 1.0, "y0": 1.0, "T": 1.0, "dt": 1.0})
-# the shift's floor 0.01 rounds away next to beta = 1e300: a singular factor
+# the shift's absolute floor 0.01 rounded away next to beta = 1e300: a singular factor
 @example({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
           "beta": {"const": 1e300}})
 # stencils whose 4/h**2 is zero-divided, overflows, or swamps the shift
@@ -232,7 +233,7 @@ _ORBIT = {"subcommand": "phase", "beta": -1.0, "psi1": 1.0, "psi2": 1.0, "v0": 0
           "beta": {"const": 0.0}})
 @example({"subcommand": "ground-state", "grid": {"dims": [[1e-150, 8]]},
           "beta": {"const": 0.0}})
-# results that are not finite: y1 overflows, inverse iteration makes NaN
+# results that are not finite: y1 overflows, the norm of e0 underflows
 @example({"subcommand": "roots", "lambda0": 1e-320, "psi1": 1.0, "psi2": 1e-300})
 @example({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
           "beta": {"form": "cos", "a": 0.0, "b": 1e300, "k": 1}})
@@ -249,7 +250,12 @@ def test_cli_exits_only_with_its_codes(config):
             assert not out_dir.exists()
         else:
             text = (out_dir / "summary.json").read_text()
-            json.loads(text, parse_constant=_not_json)
+            summary = json.loads(text, parse_constant=_not_json)
+            flow = summary.get("flow")
+            if code == 0 and flow is not None:
+                # the exact flow is monotone and never crosses the root y1
+                y0, y1, end = flow["y0"], flow["target_y1"], flow["terminal"]
+                assert not min(y0, end) < y1 < max(y0, end)
 
 
 def _not_json(name):

@@ -406,6 +406,23 @@ def test_flow_step_regrows_after_a_stiff_start():
     assert abs(traj.terminal - p.y1) <= 1e-5 * p.y1
 
 
+@pytest.mark.parametrize("lam, A", [
+    (8.0, 1e12),
+    # the ode config that once ran for minutes: beta = -lam, psi1 = A, psi2 = 1
+    (8.077094270785885, 1e19),
+], ids=["A=1e12", "A=1e19"])
+def test_flow_from_a_stiff_start_stays_below_y1(lam, A):
+    # the exact flow rises monotonically toward y1 and never reaches it; a
+    # first RK4 step of the stiff start that lands past y1 is rejected, since
+    # the slope there has changed sign
+    p = make_profile(lam, A, 1.0)
+    traj = scalar_flow(1.0, p, T=1.0, dt=1.0)
+    assert np.all(traj.values < p.y1)
+    assert np.all(np.diff(traj.values) >= 0.0)
+    ref = scalar_ode_reference(lam, A, 1.0, 1.0, np.array([0.0, 1.0]), method="Radau")
+    assert abs(traj.terminal - ref[-1]) <= 5e-8 * ref[-1]
+
+
 @pytest.mark.parametrize("y0", [2.0, np.array([2.0, 3.0])], ids=["scalar", "batch"])
 def test_flow_step_collapse_raises(y0):
     # sixty halvings of 1e300 still leave every stage far outside (0, inf)

@@ -122,7 +122,7 @@ def test_warp_fiber_only_v_gives_leafwise_constant_potentials():
 
 
 def test_warp_leaves_equal_ground_state_bitwise():
-    # the warp skips the gap estimate but must give each leaf exactly the
+    # the warp ignores the gap but must give each leaf exactly the
     # eigenpair that ground_state reports for the same potential
     base, fiber, product, v = product_fields(
         16, 8, lambda x, y: 2.0 + 0.5 * np.sin(x) * np.cos(y)
@@ -200,6 +200,20 @@ def test_warp_mixed_v_leafwise_oscillation_small():
         # far below any h^2 envelope
         assert osc < 1e-9
         assert np.max(np.abs(per_leaf[0] - leaf_smix)) < 1e-9
+
+
+def test_warp_leaves_take_few_solves(solve_count):
+    # a v that is not separable gives every leaf its own potential, and each
+    # leaf's ground state is one Lanczos run on its own factor
+    base, fiber, product, v = product_fields(
+        64, 16, lambda x, y: 2.0 + np.cos(x + y) + 0.3 * np.sin(2 * y)
+    )
+    u, leaf_smix = ground_state_warp(TwistedProduct(base, fiber, v))
+    assert solve_count[0] <= 20 * 16
+    smix = mixed_scalar_curvature(TwistedProduct(base, fiber, v, u))
+    per_leaf = smix.values.reshape(64, 16)
+    assert np.max(per_leaf.max(axis=0) - per_leaf.min(axis=0)) <= 1e-11
+    assert np.max(np.abs(per_leaf[0] - leaf_smix)) <= 1e-11
 
 
 # ------------------------------------------------------------- scaling law
