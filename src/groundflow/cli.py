@@ -160,16 +160,22 @@ _SCHEMAS = {
         epsilon={"type": "number"},
         tol_h={"type": "number"},
     ),
-    "ode": _command(
-        "ode",
-        ["beta", "psi1", "psi2"],
-        beta=_NUMBER,
-        psi1=_NUMBER,
-        psi2=_NUMBER,
-        y0=_NUMBER,
-        T=_NUMBER,
-        dt=_NUMBER,
-    ),
+    "ode": {
+        **_command(
+            "ode",
+            ["beta", "psi1", "psi2"],
+            beta=_NUMBER,
+            psi1=_NUMBER,
+            psi2=_NUMBER,
+            y0=_NUMBER,
+            T=_NUMBER,
+            dt=_NUMBER,
+        ),
+        # the scalar flow from y0 needs a horizon, and lambda0 = -beta > 0
+        "dependentSchemas": {
+            "y0": {"required": ["T"], "properties": {"beta": {"exclusiveMaximum": 0}}},
+        },
+    },
     "phase": _command(
         "phase",
         ["beta", "psi1", "psi2", "u0", "v0", "T", "dt"],
@@ -191,19 +197,33 @@ _SCHEMAS = {
             nv={"type": "integer", "minimum": 2},
         ),
     ),
-    "curvature": _command(
-        "curvature",
-        ["mode"],
-        mode={"enum": ["twisted", "warp", "scaling"]},
-        base_grid=_GRID,
-        fiber_grid=_GRID,
-        u=_FIELD,
-        v=_FIELD,
-        s_mix=_NUMBER,
-        h_sq=_NUMBER,
-        t_sq=_NUMBER,
-        u_const=_NUMBER,
-    ),
+    "curvature": {
+        **_command(
+            "curvature",
+            ["mode"],
+            mode={"enum": ["twisted", "warp", "scaling"]},
+            base_grid=_GRID,
+            fiber_grid=_GRID,
+            u=_FIELD,
+            v=_FIELD,
+            s_mix=_NUMBER,
+            h_sq=_NUMBER,
+            t_sq=_NUMBER,
+            u_const=_NUMBER,
+        ),
+        # each mode's own inputs
+        "allOf": [
+            {
+                "if": {"required": ["mode"], "properties": {"mode": {"const": mode}}},
+                "then": {"required": keys},
+            }
+            for mode, keys in [
+                ("twisted", ["base_grid", "fiber_grid", "v", "u"]),
+                ("warp", ["base_grid", "fiber_grid", "v"]),
+                ("scaling", ["s_mix", "h_sq", "t_sq", "u_const"]),
+            ]
+        ],
+    },
     "sweep": _command(
         "sweep",
         ["grid", "q", "beta", "psi1", "psi2"],
@@ -362,10 +382,6 @@ def _run_ode(cfg):
         "fixed_points": [{"root": r, "stability": s} for r, s in points],
     }
     if "y0" in cfg:
-        if beta >= 0.0:
-            raise ConfigError("scalar flow requires beta < 0")
-        if "T" not in cfg:
-            raise ConfigError("scalar flow requires T")
         profile = make_profile(-beta, psi1, psi2)
         traj = scalar_flow(
             cfg["y0"], profile, cfg["T"], dt=cfg.get("dt"), record_every=10
@@ -402,28 +418,19 @@ def _run_phase(cfg):
     }, tables
 
 
-def _require(cfg, keys, mode):
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigError(f"curvature mode {mode!r} requires keys {missing}")
-
-
 def _run_curvature(cfg):
     mode = cfg["mode"]
     summary = {"mode": mode}
     if mode == "scaling":
-        _require(cfg, ["s_mix", "h_sq", "t_sq", "u_const"], mode)
         summary["value"] = cv.scaled_mixed_curvature(
             cfg["s_mix"], cfg["h_sq"], cfg["t_sq"], cfg["u_const"]
         )
         return summary, {}
-    _require(cfg, ["base_grid", "fiber_grid", "v"], mode)
     base = _parse_grid(cfg["base_grid"])
     fiber = _parse_grid(cfg["fiber_grid"])
     product = make_torus_grid(base.dims + fiber.dims)
     v = _parse_field(cfg["v"], product)
     if mode == "twisted":
-        _require(cfg, ["u"], mode)
         tp = cv.TwistedProduct(base, fiber, v, _parse_field(cfg["u"], product))
         field = cv.mixed_scalar_curvature(tp)
         summary.update(smix_min=field.min(), smix_max=field.max())
@@ -442,32 +449,32 @@ def _run_curvature(cfg):
 def _run_sweep(cfg):
     grid = _parse_grid(cfg["grid"])
     q = cfg["q"]
-    axis = np.linspace(q["start"], q["stop"], q["count"])
+    qs = np.linspace(q["start"], q["stop"], q["count"])
 
     def evaluator(spec):
         return lambda qv: _parse_field(spec, grid, q=qv)
 
     family = ParamFamily(
         grid=grid,
-        q_axes=(axis,),
+        q=qs,
         beta_of_q=evaluator(cfg["beta"]),
         psi1_of_q=evaluator(cfg["psi1"]),
         psi2_of_q=evaluator(cfg["psi2"]),
     )
     result = sweep_attractor(family, tol=cfg.get("tol", 1e-8))
     summary = {
-        "q": axis.tolist(),
+        "q": qs.tolist(),
         "lambda0": result.lambda0.tolist(),
         "gap": result.gap.tolist(),
         "gap_min": float(result.gap.min()),
-        "lipschitz": {str(k): v for k, v in result.lipschitz.items()},
+        "lipschitz": {"0": result.lipschitz},
     }
-    if axis.size >= 9:
-        smooth = smoothness_diagnostic(result, order=2)
+    if qs.size >= 9:
+        smooth = smoothness_diagnostic(result)
         summary["smoothness"] = {
             "order": 2,
-            "ratio": smooth.axes[0].ratio,
-            "refinement_gap": smooth.axes[0].refinement_gap,
+            "ratio": smooth.ratio,
+            "refinement_gap": smooth.refinement_gap,
             "passed": smooth.passed,
         }
     return summary, {"sweep.csv": functools.partial(sweep_to_csv, result)}

@@ -1,15 +1,15 @@
 """Parameter sweeps of the spectral data and the attractor.
 
 Tracks lambda0(q), e0(., q) and the attractor u_star(., q) over a uniform
-grid of one or two parameters, with finite-difference smoothness
-diagnostics: smooth dependence is certified at desk scale by difference
-quotients that converge at the expected rate under dyadic subsampling,
-and by bounded Lipschitz quotients of the fields.  The attractor at each
+grid of one parameter q, with finite-difference smoothness diagnostics:
+smooth dependence is certified at desk scale by second differences of
+lambda0 that converge at the expected rate under dyadic subsampling, and
+by bounded Lipschitz quotients of the fields.  The attractor at each
 q is found by Newton's method on the stationary equation, started inside
 the sandwich and certified there, rather than by marching the heat flow.
-Each q costs one factor of the shifted Schrodinger operator (inverse
-iteration shifted just below lambda0, then Lanczos for the gap on the same
-factor).  Newton keeps its Jacobian factor across its iterations and
+Each q costs one factor of the shifted Schrodinger operator (one Lanczos
+run on its inverse gives lambda0, e0 and the gap).  Newton keeps its
+Jacobian factor across its iterations and
 from one q to the next (the chord method), refactoring only when its
 steps stop contracting, so a sweep as a rule builds one Jacobian factor
 in all, at the price of a few more iterations per q.  The sweep holds
@@ -24,7 +24,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -41,109 +40,66 @@ _RATIO_BAND = (3.2, 4.8)  # 4 plus/minus 20 percent
 
 @dataclass(frozen=True)
 class ParamFamily:
-    """Problem family over a uniform parameter grid (1 or 2 axes).
+    """Problem family over a uniform, increasing parameter grid ``q``.
 
-    Evaluators receive the parameter as a float for one axis and as a
-    (q1, q2) tuple for two, and must return fields on ``grid``.
+    Evaluators receive the parameter as a float and must return fields on
+    ``grid``.
     """
 
     grid: Grid
-    q_axes: tuple
+    q: np.ndarray
     beta_of_q: object
     psi1_of_q: object
     psi2_of_q: object
 
     def __post_init__(self):
-        axes = tuple(np.asarray(ax, dtype=float) for ax in self.q_axes)
-        if not 1 <= len(axes) <= 2:
-            raise ValueError(f"1 or 2 parameter axes supported, got {len(axes)}")
-        for ax in axes:
-            if ax.ndim != 1 or ax.size < 2:
-                raise ValueError("each parameter axis needs at least 2 points")
-            steps = np.diff(ax)
-            if steps[0] <= 0.0 or not np.allclose(
-                steps, steps[0], rtol=1e-10, atol=1e-14
-            ):
-                raise ValueError("parameter axes must be uniform and increasing")
-        object.__setattr__(self, "q_axes", axes)
+        q = np.asarray(self.q, dtype=float)
+        if q.ndim != 1 or q.size < 2:
+            raise ValueError("the parameter grid needs at least 2 points")
+        steps = np.diff(q)
+        if steps[0] <= 0.0 or not np.allclose(
+            steps, steps[0], rtol=1e-10, atol=1e-14
+        ):
+            raise ValueError("the parameter grid must be uniform and increasing")
+        object.__setattr__(self, "q", q)
 
     @property
-    def m(self) -> int:
-        return len(self.q_axes)
+    def step(self) -> float:
+        return float(self.q[1] - self.q[0])
 
-    @property
-    def q_shape(self):
-        return tuple(ax.size for ax in self.q_axes)
-
-    @property
-    def q_points(self) -> np.ndarray:
-        """All parameter points, C order, shape (nq, m)."""
-        return np.array(list(product(*self.q_axes)))
-
-    def at(self, q_tuple):
-        q = q_tuple[0] if self.m == 1 else tuple(q_tuple)
+    def at(self, q: float):
         return self.beta_of_q(q), self.psi1_of_q(q), self.psi2_of_q(q)
 
 
 @dataclass
 class SweepResult:
     family: ParamFamily
-    q_points: np.ndarray
     lambda0: np.ndarray
     gap: np.ndarray
     e0: list[ScalarField]
-    first_differences: dict
-    second_differences: dict
     u_star: list[ScalarField] | None = None
-    lipschitz: dict | None = None
-
-
-@dataclass(frozen=True)
-class AxisSmoothness:
-    axis: int
-    ratio: float | None  # None when quotients are below the degeneracy floor
-    quotient_max: float
-    refinement_gap: float
-    passed: bool
+    lipschitz: float | None = None
 
 
 @dataclass(frozen=True)
 class SmoothnessReport:
-    order: int
-    axes: list
-    e0_lipschitz: list
+    ratio: float | None  # None when quotients are below the degeneracy floor
+    quotient_max: float
+    refinement_gap: float
+    e0_lipschitz: float
     passed: bool
 
 
-def _central_difference(values: np.ndarray, axis: int, stride: int, step: float,
-                        order: int) -> np.ndarray:
-    v = np.moveaxis(values, axis, 0)
-    n = v.shape[0]
-    lo, hi = stride, n - stride
-    if hi <= lo:
-        raise ValueError("axis too short for the requested stride")
-    if order == 1:
-        out = (v[2 * stride:] - v[: n - 2 * stride]) / (2.0 * stride * step)
-    else:
-        out = (v[2 * stride:] - 2.0 * v[stride:hi] + v[: n - 2 * stride]) / (
-            (stride * step) ** 2
-        )
-    return np.moveaxis(out, 0, axis)
-
-
-def _difference_tables(family: ParamFamily, values: np.ndarray):
-    shaped = values.reshape(family.q_shape)
-    first, second = {}, {}
-    for axis, ax in enumerate(family.q_axes):
-        step = float(ax[1] - ax[0])
-        first[axis] = _central_difference(shaped, axis, 1, step, 1)
-        second[axis] = _central_difference(shaped, axis, 1, step, 2)
-    return first, second
+def _second_difference(values: np.ndarray, stride: int, step: float) -> np.ndarray:
+    """Central second differences of ``values`` at spacing ``stride*step``."""
+    n = values.size
+    return (values[2 * stride:] - 2.0 * values[stride:n - stride]
+            + values[: n - 2 * stride]) / (stride * step) ** 2
 
 
 @contextmanager
-def _failing_at(q_tuple, stage: str):
-    """Re-raise a package failure inside the block as one naming ``q_tuple``.
+def _failing_at(q: float, stage: str):
+    """Re-raise a package failure inside the block as one naming ``q``.
 
     An admissibility failure keeps its type and margin; any other
     :class:`GroundflowError` becomes a :class:`ConvergenceError` saying
@@ -154,17 +110,17 @@ def _failing_at(q_tuple, stage: str):
         yield
     except AdmissibilityError as exc:
         raise AdmissibilityError(
-            f"admissibility fails first at q={q_tuple}", margin=exc.margin
+            f"admissibility fails first at q={q}", margin=exc.margin
         ) from exc
     except GroundflowError as exc:
         raise ConvergenceError(
-            f"{stage} failed at q={q_tuple}: {exc}",
+            f"{stage} failed at q={q}: {exc}",
             residual=getattr(exc, "residual", None),
         ) from exc
 
 
 def _spectral_sweep(family: ParamFamily, solve_at) -> list:
-    """``solve_at(beta, psi1, psi2)`` at every q in C order: the one per-q
+    """``solve_at(beta, psi1, psi2)`` at every q in order: the one per-q
     loop of both sweeps.
 
     Each result (a :class:`SpectralResult` or a :class:`ProblemData`; both
@@ -173,54 +129,39 @@ def _spectral_sweep(family: ParamFamily, solve_at) -> list:
     eigenvalue crossing), and a failure names its q.
     """
     results = []
-    for q_tuple in family.q_points:
-        with _failing_at(q_tuple, "ground state"):
-            result = solve_at(*family.at(q_tuple))
+    for q in family.q:
+        with _failing_at(q, "ground state"):
+            result = solve_at(*family.at(q))
         if result.gap < _GAP_FLOOR:
             raise ConvergenceError(
-                f"spectral gap {result.gap!r} below {_GAP_FLOOR} at q={q_tuple}; "
+                f"spectral gap {result.gap!r} below {_GAP_FLOOR} at q={q}; "
                 "eigenvalue crossing suspected, sweep aborted"
             )
         results.append(result)
     return results
 
 
-def _axis_fields_lipschitz(family: ParamFamily, fields, axis: int) -> float:
-    """Worst sup-norm quotient of a field list between axis neighbors."""
-    stack = np.stack([f.values for f in fields]).reshape(
-        family.q_shape + (family.grid.total_points,)
-    )
-    step = float(family.q_axes[axis][1] - family.q_axes[axis][0])
-    diffs = np.abs(np.diff(stack, axis=axis)) / step
-    return float(diffs.max())
+def _fields_lipschitz(family: ParamFamily, fields) -> float:
+    """Worst sup-norm quotient of a field list between neighboring q."""
+    stack = np.stack([f.values for f in fields])
+    return float((np.abs(np.diff(stack, axis=0)) / family.step).max())
 
 
 def _sweep_result(family: ParamFamily, solved: list, u_stars=None) -> SweepResult:
     """The sweep's tables from the per-q results of :func:`_spectral_sweep`
     (and the attractors, when there are any)."""
-    lam = np.asarray([s.lambda0 for s in solved])
-    first, second = _difference_tables(family, lam)
-    lipschitz = None
-    if u_stars is not None:
-        lipschitz = {
-            axis: _axis_fields_lipschitz(family, u_stars, axis)
-            for axis in range(family.m)
-        }
     return SweepResult(
         family=family,
-        q_points=family.q_points,
-        lambda0=lam,
+        lambda0=np.asarray([s.lambda0 for s in solved]),
         gap=np.asarray([s.gap for s in solved]),
         e0=[s.e0 for s in solved],
-        first_differences=first,
-        second_differences=second,
         u_star=u_stars,
-        lipschitz=lipschitz,
+        lipschitz=None if u_stars is None else _fields_lipschitz(family, u_stars),
     )
 
 
 def sweep_ground_state(family: ParamFamily) -> SweepResult:
-    """Ground state at every parameter point, plus difference tables.
+    """Ground state at every parameter point.
 
     Each ground state is converged to the eigen-solver's residual target.
     Positivity and normalization pin the eigenvector sign at every q, so
@@ -232,65 +173,40 @@ def sweep_ground_state(family: ParamFamily) -> SweepResult:
     return _sweep_result(family, spectra)
 
 
-def smoothness_diagnostic(result: SweepResult, order: int) -> SmoothnessReport:
-    """Richardson ratio test on the difference quotients of lambda0(q).
+def smoothness_diagnostic(result: SweepResult) -> SmoothnessReport:
+    """Richardson ratio test on the second differences of lambda0(q).
 
-    Quotients of the requested order are formed at spacings delta,
-    2*delta and 4*delta by dyadic subsampling (needs at least 9 points
-    per axis); second-order-accurate quotients make the coarse/fine
-    refinement gaps shrink by a factor of 4, accepted within 20 percent.
-    Exactly-polynomial families, whose gaps sit at rounding level, pass
-    as degenerate.
+    Second differences are formed at spacings delta, 2*delta and 4*delta
+    by dyadic subsampling (needs at least 9 points); being second-order
+    accurate, they make the coarse/fine refinement gaps shrink by a
+    factor of 4, accepted within 20 percent.  Exactly-polynomial
+    families, whose gaps sit at rounding level, pass as degenerate.
+    ``e0_lipschitz`` is the worst sup-norm quotient of e0 between
+    neighboring q.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     family = result.family
-    shaped = result.lambda0.reshape(family.q_shape)
-    axes_reports = []
-    for axis, ax in enumerate(family.q_axes):
-        if ax.size < 9:
-            raise ValueError(
-                "need at least 9 points per axis for the three-scale ratio test"
-            )
-        step = float(ax[1] - ax[0])
-        quotients = {
-            s: _central_difference(shaped, axis, s, step, order) for s in (1, 2, 4)
-        }
-        # compare on the common interior where all three strides exist
-        def interior(arr, stride):
-            v = np.moveaxis(arr, axis, 0)
-            pad = 4 - stride
-            return v[pad : v.shape[0] - pad if pad else None]
-
-        d1 = interior(quotients[1], 1)
-        d2 = interior(quotients[2], 2)
-        d4 = interior(quotients[4], 4)
-        gap_fine = float(np.max(np.abs(d2 - d1)))
-        gap_coarse = float(np.max(np.abs(d4 - d2)))
-        scale = max(1.0, float(np.max(np.abs(d1))))
-        if gap_fine < _DEGENERATE_FLOOR * scale and gap_coarse < _DEGENERATE_FLOOR * scale:
-            ratio, passed = None, True
-        else:
-            ratio = gap_coarse / gap_fine if gap_fine > 0.0 else np.inf
-            passed = _RATIO_BAND[0] <= ratio <= _RATIO_BAND[1]
-        axes_reports.append(
-            AxisSmoothness(
-                axis=axis,
-                ratio=ratio,
-                quotient_max=float(np.max(np.abs(d1))),
-                refinement_gap=gap_fine,
-                passed=passed,
-            )
-        )
-    e0_lip = [
-        _axis_fields_lipschitz(family, result.e0, axis)
-        for axis in range(family.m)
-    ]
+    if family.q.size < 9:
+        raise ValueError("need at least 9 points for the three-scale ratio test")
+    # compare on the common interior where all three strides exist
+    d1, d2, d4 = (
+        _second_difference(result.lambda0, s, family.step)[4 - s: family.q.size - 4 - s]
+        for s in (1, 2, 4)
+    )
+    gap_fine = float(np.max(np.abs(d2 - d1)))
+    gap_coarse = float(np.max(np.abs(d4 - d2)))
+    quotient_max = float(np.max(np.abs(d1)))
+    floor = _DEGENERATE_FLOOR * max(1.0, quotient_max)
+    if gap_fine < floor and gap_coarse < floor:
+        ratio, passed = None, True
+    else:
+        ratio = gap_coarse / gap_fine if gap_fine > 0.0 else np.inf
+        passed = _RATIO_BAND[0] <= ratio <= _RATIO_BAND[1]
     return SmoothnessReport(
-        order=order,
-        axes=axes_reports,
-        e0_lipschitz=e0_lip,
-        passed=all(a.passed for a in axes_reports),
+        ratio=ratio,
+        quotient_max=quotient_max,
+        refinement_gap=gap_fine,
+        e0_lipschitz=_fields_lipschitz(family, result.e0),
+        passed=passed,
     )
 
 
@@ -315,8 +231,8 @@ def sweep_attractor(family: ParamFamily, tol: float = 1e-8) -> SweepResult:
     u_stars: list[ScalarField] = []
     previous: ScalarField | None = None
     held = {}  # Newton's one Jacobian factor, kept from one q to the next
-    for p, q_tuple in zip(problems, family.q_points):
-        with _failing_at(q_tuple, "attractor"):
+    for p, q in zip(problems, family.q):
+        with _failing_at(q, "attractor"):
             previous = _newton_stationary(
                 _start_field(p, previous), p, tol, held
             )
@@ -335,12 +251,11 @@ def _start_field(p: ProblemData, previous: ScalarField | None) -> np.ndarray:
 
 
 def sweep_to_csv(result: SweepResult, path):
-    """Write ``q1[,q2],lambda0,gap,min_ratio,max_ratio`` rows."""
+    """Write ``q1,lambda0,gap,min_ratio,max_ratio`` rows."""
     if result.u_star is None:
         raise ValueError("sweep has no attractor data; run sweep_attractor")
-    m = result.family.m
-    header = ("q1,q2" if m == 2 else "q1") + ",lambda0,gap,min_ratio,max_ratio"
     ratios = np.array([u.values / e.values for u, e in zip(result.u_star, result.e0)])
-    q_columns = np.asarray(result.q_points, dtype=float).T
-    write_csv(path, header, [*q_columns, result.lambda0, result.gap,
-                             ratios.min(axis=1), ratios.max(axis=1)])
+    write_csv(path, "q1,lambda0,gap,min_ratio,max_ratio", [
+        result.family.q, result.lambda0, result.gap,
+        ratios.min(axis=1), ratios.max(axis=1),
+    ])

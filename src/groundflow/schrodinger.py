@@ -10,15 +10,18 @@ Math. Comp. 35, 1980).
 
 The shift sits just below lambda0.  The Rayleigh quotient of a constant
 gives -max(beta) <= lambda0 <= -mean(beta), so mu = -max(beta) - delta
-with delta = max(max(beta) - mean(beta), 0.01, 4 ulp(max(beta))) keeps
-H - mu positive definite with least eigenvalue at least delta, and
-lambda0 - mu is at most 2*delta unless a floor binds.  The floor 0.01
-covers constant beta, where lambda0 = -max(beta) exactly; the ulp one
-binds only where 0.01 would round away in mu (|beta| > 1e13), as a
-larger delta would crowd the top eigenvalues of (H - mu)^-1.  The
-eigenvalues of (H - mu)^-1 are 1/(lambda_i - mu), so the close shift sets
-the top one, theta0 = 1/(lambda0 - mu), well apart from the others, which
-is what makes its Ritz value and vector converge in few steps.
+with delta = max(max(beta) - mean(beta), 0.01) keeps H - mu positive
+definite with least eigenvalue at least delta, and lambda0 - mu is at
+most 2*delta unless the floor binds.  The floor 0.01 covers constant
+beta, where lambda0 = -max(beta) exactly.  The run works on
+beta - max(beta), whose maximum is 0: it factors
+delta - L - (beta - max(beta)) and adds -max(beta) back to the Rayleigh
+quotient, so the factor and the Lanczos vectors keep the scale of the
+variation of beta, not of beta itself, and a shift of 0.01 does not
+round away against a large max(beta).  The eigenvalues of (H - mu)^-1 are 1/(lambda_i - mu), so the
+close shift sets the top one, theta0 = 1/(lambda0 - mu), well apart from
+the others, which is what makes its Ritz value and vector converge in
+few steps.
 
 Where beta is constant along some torus axes, the problem is solved on the
 grid of the other axes.  An axis is dropped when every slice of beta across
@@ -76,18 +79,20 @@ class SpectralResult:
 def shift_for_positivity(beta: ScalarField) -> float:
     """The shift mu of the eigen-solver, with H - mu positive definite.
 
-    mu = -max(beta) - delta with
-    delta = max(max(beta) - mean(beta), 0.01, 4 ulp(max(beta))),
+    mu = -max(beta) - delta with delta = max(max(beta) - mean(beta), 0.01),
     just below lambda0 (see the module docstring).
     """
-    b_max, delta = _shift_parts(beta.values)
+    b_max, _, delta = _shift_parts(beta.values)
     return -b_max - delta
 
 
 def _shift_parts(b: np.ndarray):
-    """``(max(beta), delta)`` with the shift mu = -max(beta) - delta."""
+    """``(max(beta), beta - max(beta), delta)``, with the shift
+    mu = -max(beta) - delta; delta is taken from the mean of
+    beta - max(beta), which is exactly 0 for a constant beta."""
     b_max = float(b.max())
-    return b_max, max(b_max - float(b.mean()), _SHIFT_FLOOR, 4 * np.spacing(abs(b_max)))
+    shifted = b - b_max
+    return b_max, shifted, max(-float(shifted.mean()), _SHIFT_FLOOR)
 
 
 def _weighted_norm(values: np.ndarray, vol: float) -> float:
@@ -169,7 +174,8 @@ def _least_eigenpair(grid: Grid, beta: ScalarField):
     """Least eigenpair of -L - beta and the gap, by Lanczos on (H - mu)^-1.
 
     The shift is mu = -max(beta) - delta (see the module docstring), and
-    ``solve`` applies (H - mu)^-1, whose eigenvalues are 1/(lambda_i - mu):
+    ``solve`` applies (H - mu)^-1 through the factor of
+    delta - L - (beta - max(beta)); its eigenvalues are 1/(lambda_i - mu):
     the top two Ritz values theta0 > theta1 approximate 1/(lambda0 - mu)
     and 1/(lambda1 - mu).  The start vector is the constant plus 1e-3 times
     fixed-seed normals, so that every level is within reach, and each new
@@ -181,7 +187,8 @@ def _least_eigenpair(grid: Grid, beta: ScalarField):
     times themselves, or the Krylov space is exhausted, the candidate e0
     is one more solve applied to |x|, x the top Ritz vector: H - mu is an
     M-matrix, so its inverse is entrywise positive and so is e0.  lambda0
-    is the Rayleigh quotient of e0, and the candidate is accepted only when
+    is the Rayleigh quotient of e0 on -L - (beta - max(beta)), plus
+    -max(beta), and the candidate is accepted only when
     its eigen-residual r drops below 0.5e-10 * max(1, |lambda0|), or below
     the round-off in applying L (machine epsilon times its norm bound
     sum_d 4/h_d^2) where that is larger, as on fine 1-d grids; the
@@ -195,10 +202,8 @@ def _least_eigenpair(grid: Grid, beta: ScalarField):
     """
     _check_same_grid(grid, beta)
     vol = grid.cell_volume
-    b = beta.values
-    b_max, delta = _shift_parts(b)
-    mu = -b_max - delta
-    solve = spd_solver(grid, 1.0, -b - mu)
+    b_max, b, delta = _shift_parts(beta.values)
+    solve = spd_solver(grid, 1.0, delta - b)
 
     n = b.size
     q = 1.0 + 1e-3 * np.random.RandomState(12345).standard_normal(n)
@@ -221,8 +226,9 @@ def _least_eigenpair(grid: Grid, beta: ScalarField):
             v = solve(np.abs(basis[: k + 1].T @ s[:, -1]))
             v /= _weighted_norm(v, vol)
             hv = -laplacian_values(grid, v) - b * v
-            lam = vol * float(np.dot(v, hv))
-            residual = _weighted_norm(hv - lam * v, vol)
+            lam_shifted = vol * float(np.dot(v, hv))
+            residual = _weighted_norm(hv - lam_shifted * v, vol)
+            lam = lam_shifted - b_max
             if not (abs(lam) < np.inf and residual < np.inf):  # nan or inf
                 message = f"Lanczos left float range at step {k + 1}"
                 raise ConvergenceError(message, residual=residual)
@@ -243,7 +249,7 @@ def _least_eigenpair(grid: Grid, beta: ScalarField):
         )
     # theta ascends; a single Ritz value (breakdown at step 1) gives gap 0
     gap = 1.0 / float(theta[0]) - 1.0 / float(theta[-1])
-    return lam, v, k + 1, residual, gap, mu
+    return lam, v, k + 1, residual, gap, -b_max - delta
 
 
 def spectrum_oracle(grid: Grid, beta: ScalarField, k: int) -> np.ndarray:

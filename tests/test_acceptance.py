@@ -418,26 +418,26 @@ def test_criterion_11_parameter_smoothness():
     g = make_circle_grid(2 * np.pi, 128)
     fam = ParamFamily(
         grid=g,
-        q_axes=(np.linspace(0.0, 2.0, 41),),
+        q=np.linspace(0.0, 2.0, 41),
         beta_of_q=lambda q: ScalarField.from_function(g, lambda x: q * np.cos(x)),
         psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
         psi2_of_q=lambda q: ScalarField.constant(g, 0.0),
     )
     res = sweep_ground_state(fam)
     for i in range(0, 41, 5):
-        q = res.q_points[i][0]
+        q = fam.q[i]
         dense = spectrum_oracle(g, fam.beta_of_q(q), 1)
         assert abs(res.lambda0[i] - dense[0]) <= 1e-10
-    rep = smoothness_diagnostic(res, order=2)
+    rep = smoothness_diagnostic(res)
     assert rep.passed
-    assert 3.2 <= rep.axes[0].ratio <= 4.8
+    assert 3.2 <= rep.ratio <= 4.8
 
     # attractor family in the admissible regime
     def attractor_family(count):
         ga = make_circle_grid(2 * np.pi, 64)
         return ParamFamily(
             grid=ga,
-            q_axes=(np.linspace(0.0, 0.5, count),),
+            q=np.linspace(0.0, 0.5, count),
             beta_of_q=lambda q: ScalarField.constant(ga, -1.0),
             psi1_of_q=lambda q: ScalarField.from_function(
                 ga, lambda x: 2.0 + q * np.sin(x)
@@ -448,12 +448,12 @@ def test_criterion_11_parameter_smoothness():
     tol = 1e-9
     coarse = sweep_attractor(attractor_family(6), tol=tol)
     fine = sweep_attractor(attractor_family(11), tol=tol)
-    assert np.isfinite(fine.lipschitz[0])
-    assert fine.lipschitz[0] <= 1.5 * coarse.lipschitz[0] + 1e-9
+    assert np.isfinite(fine.lipschitz)
+    assert fine.lipschitz <= 1.5 * coarse.lipschitz + 1e-9
 
     # warm-started sweep end point equals an independent cold start
     fam_a = attractor_family(6)
-    q_last = fine.q_points[-1][0]
+    q_last = fine.family.q[-1]
     p = build_problem(
         fam_a.grid,
         fam_a.beta_of_q(q_last),
@@ -469,6 +469,6 @@ def test_criterion_11_parameter_smoothness():
     assert elapsed < 120.0
     report(
         11,
-        f"lambda0(q) vs oracle 1e-10, d2 ratio {rep.axes[0].ratio:.2f}, "
+        f"lambda0(q) vs oracle 1e-10, d2 ratio {rep.ratio:.2f}, "
         f"warm==cold to 10*tol, {elapsed:.1f}s",
     )

@@ -80,11 +80,11 @@ def test_ground_state_subcommand(tmp_path):
     assert len(lines) == 33
 
 
-@pytest.mark.parametrize("c", [1e16, -1e16])
+@pytest.mark.parametrize("c", [1e16, -1e16, 1e300])
 def test_ground_state_of_a_huge_constant_potential(tmp_path, c):
-    # the shift's floor scales with max|beta|, so it does not round away in
-    # mu = -max(beta) - delta, and the gap 1/theta1 - 1/theta0 subtracts
-    # nothing of the size of beta
+    # the eigen-solver factors 0.01 - L - (beta - max(beta)), so the shift
+    # does not round away against beta and no Lanczos vector scales with
+    # 1/beta; the gap 1/theta1 - 1/theta0 subtracts nothing of the size of beta
     code, _, summary = run_cli(
         tmp_path, {"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
                    "beta": {"const": c}},
@@ -98,9 +98,9 @@ def test_ground_state_of_a_huge_constant_potential(tmp_path, c):
 
 @pytest.mark.parametrize("c", [1e12, 1e13, 1e14])
 def test_ground_state_of_a_large_constant_on_a_long_axis(tmp_path, c):
-    # the least nonzero level of -L is 1e-4 here; a shift floor larger than
-    # 0.01 rounding needs would crowd theta1 against the rest of the spectrum
-    # of (H - mu)^-1 and keep the Lanczos run from converging in its steps
+    # the least nonzero level of -L is 1e-4 here; a shift floor much larger
+    # than 0.01 would crowd theta1 against the rest of the spectrum of
+    # (H - mu)^-1 and keep the Lanczos run from converging in its steps
     code, _, summary = run_cli(
         tmp_path, {"subcommand": "ground-state", "grid": {"dims": [[628.0, 1000]]},
                    "beta": {"const": c}},
@@ -284,7 +284,7 @@ def test_ode_flow_matches_reference_within_budget(tmp_path, monkeypatch):
     assert elapsed[0] < 0.5
 
 
-def test_ode_flow_requires_negative_beta(tmp_path):
+def test_ode_flow_requires_negative_beta(tmp_path, capsys):
     cfg = {
         "subcommand": "ode",
         "beta": 1.0,
@@ -295,11 +295,15 @@ def test_ode_flow_requires_negative_beta(tmp_path):
     }
     code, _, _ = run_cli(tmp_path, cfg)
     assert code == 2
+    assert capsys.readouterr().err == (
+        "config error at $.beta: 1.0 is greater than or equal to the maximum of 0\n"
+    )
     # and a horizon: y0 without T is a config error too
     del cfg["T"]
     code, _, summary = run_cli(tmp_path, {**cfg, "beta": -1.0})
     assert code == 2
     assert summary is None
+    assert capsys.readouterr().err == "config error at $: 'T' is a required property\n"
 
 
 def test_phase_subcommand(tmp_path):
@@ -383,10 +387,25 @@ def test_curvature_warp(tmp_path):
     assert len(summary["leaf_smix"]) == 16
 
 
-def test_curvature_missing_mode_keys(tmp_path):
-    cfg = {"subcommand": "curvature", "mode": "scaling", "s_mix": 1.0}
-    code, _, _ = run_cli(tmp_path, cfg)
+_LEAVES = {"base_grid": {"dims": [[TWO_PI, 8]]}, "fiber_grid": {"dims": [[TWO_PI, 8]]},
+           "v": {"const": 1.0}}
+
+
+@pytest.mark.parametrize("cfg, missing", [
+    pytest.param({"mode": "twisted", **_LEAVES, "u": {"const": 1.0}}, "u", id="twisted"),
+    pytest.param({"mode": "warp", **_LEAVES}, "v", id="warp"),
+    pytest.param({"mode": "scaling", "s_mix": 1.0, "h_sq": 0.5, "t_sq": 0.5,
+                  "u_const": 2.0}, "h_sq", id="scaling"),
+])
+def test_curvature_missing_mode_keys(tmp_path, capsys, cfg, missing):
+    # the schema holds each mode's own inputs, so the error names the key
+    cfg = {"subcommand": "curvature", **cfg}
+    assert run_cli(tmp_path, cfg, out="whole")[0] == 0
+    del cfg[missing]
+    code, out_dir, _ = run_cli(tmp_path, cfg)
     assert code == 2
+    assert not out_dir.exists()
+    assert capsys.readouterr().err == f"config error at $: {missing!r} is a required property\n"
 
 
 def test_product_field_spec(tmp_path):
@@ -449,6 +468,12 @@ def test_sweep_subcommand(tmp_path):
     }
     code, out_dir, summary = run_cli(tmp_path, cfg)
     assert code == 0
+    keys = {"schema", "subcommand", "q", "lambda0", "gap", "gap_min", "lipschitz"}
+    assert set(summary) == keys
+    # one parameter, so one Lipschitz quotient of the attractors, under "0"
+    (lipschitz,) = summary["lipschitz"].items()
+    assert lipschitz[0] == "0"
+    assert isinstance(lipschitz[1], float) and np.isfinite(lipschitz[1])
     assert summary["gap_min"] > 0.0
     assert len(summary["lambda0"]) == 5
     assert summary["lambda0"][0] == pytest.approx(1.0, abs=1e-10)
@@ -462,7 +487,9 @@ def test_sweep_subcommand(tmp_path):
     cfg["beta"] = {"form": "cos", "a": -1.0, "b": {"base": 0.0, "slope": 1.0}, "k": 1}
     code, _, summary = run_cli(tmp_path, cfg, out="out9")
     assert code == 0
+    assert set(summary) == keys | {"smoothness"}
     smooth = summary["smoothness"]
+    assert set(smooth) == {"order", "ratio", "refinement_gap", "passed"}
     assert smooth["order"] == 2 and smooth["passed"] is True
     assert smooth["ratio"] == pytest.approx(4.0, abs=0.1)
     assert smooth["refinement_gap"] > 0.0
@@ -688,9 +715,6 @@ def _strict_json(text):
                   "h_sq": 1e300, "t_sq": 1e300, "u_const": 1e-100}, "OverflowError",
                  id="scaling-overflow"),
     pytest.param({**_ORBIT, "dt": 1e-320}, "OverflowError", id="phase-step-count"),
-    pytest.param({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
-                  "beta": {"const": 1e300}}, "ConvergenceError",
-                 id="singular-factor"),  # now the Lanczos vector underflows
     pytest.param({"subcommand": "ground-state", "grid": {"dims": [[6.28, 8]]},
                   "beta": {"form": "cos", "a": 0.0, "b": 1e300, "k": 1}},
                  "ConvergenceError", id="ground-state-nan"),

@@ -24,7 +24,7 @@ def cosine_family(n=64, q_start=0.0, q_stop=2.0, count=21):
     g = make_circle_grid(2 * np.pi, n)
     return ParamFamily(
         grid=g,
-        q_axes=(np.linspace(q_start, q_stop, count),),
+        q=np.linspace(q_start, q_stop, count),
         beta_of_q=lambda q: ScalarField.from_function(g, lambda x: q * np.cos(x)),
         psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
         psi2_of_q=lambda q: ScalarField.constant(g, 0.0),
@@ -35,7 +35,7 @@ def corollary_family(n=64, count=11, q_stop=0.5):
     g = make_circle_grid(2 * np.pi, n)
     return ParamFamily(
         grid=g,
-        q_axes=(np.linspace(0.0, q_stop, count),),
+        q=np.linspace(0.0, q_stop, count),
         beta_of_q=lambda q: ScalarField.constant(g, -1.0),
         psi1_of_q=lambda q: ScalarField.from_function(
             g, lambda x: 2.0 + q * np.sin(x)
@@ -48,43 +48,35 @@ def test_family_validation():
     g = make_circle_grid(1.0, 8)
     const = lambda q: ScalarField.constant(g, 1.0)
     with pytest.raises(ValueError):
-        ParamFamily(g, (np.array([0.0, 0.1, 0.3]),), const, const, const)
+        ParamFamily(g, np.array([0.0, 0.1, 0.3]), const, const, const)
     with pytest.raises(ValueError):
-        ParamFamily(g, (np.array([0.3, 0.2, 0.1]),), const, const, const)
-    with pytest.raises(ValueError):
-        ParamFamily(
-            g,
-            (np.linspace(0, 1, 3),) * 3,
-            const,
-            const,
-            const,
-        )
+        ParamFamily(g, np.array([0.3, 0.2, 0.1]), const, const, const)
+    with pytest.raises(ValueError):  # one parameter, so q is one array
+        ParamFamily(g, np.linspace(0.0, 1.0, 6).reshape(3, 2), const, const, const)
 
 
 def test_constant_potential_family_is_linear_in_q():
     g = make_circle_grid(2 * np.pi, 32)
     fam = ParamFamily(
         grid=g,
-        q_axes=(np.linspace(-1.0, 1.0, 9),),
+        q=np.linspace(-1.0, 1.0, 9),
         beta_of_q=lambda q: ScalarField.constant(g, q),
         psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
         psi2_of_q=lambda q: ScalarField.constant(g, 0.0),
     )
     res = sweep_ground_state(fam)
-    assert np.max(np.abs(res.lambda0 + res.q_points[:, 0])) < 1e-12
+    assert np.max(np.abs(res.lambda0 + fam.q)) < 1e-12
     e0_stack = np.stack([f.values for f in res.e0])
     assert np.max(np.abs(e0_stack - e0_stack[0])) < 1e-12
-    assert np.max(np.abs(res.first_differences[0] + 1.0)) < 1e-10
-    assert np.max(np.abs(res.second_differences[0])) < 1e-8
-    rep = smoothness_diagnostic(res, order=2)
+    rep = smoothness_diagnostic(res)
     assert rep.passed
-    assert rep.axes[0].ratio is None  # exactly linear: degenerate quotients
+    assert rep.ratio is None  # exactly linear: degenerate quotients
 
 
 def test_cosine_family_matches_dense_oracle_per_q():
     fam = cosine_family(n=64, count=9)
     res = sweep_ground_state(fam)
-    for i, q in enumerate(res.q_points[:, 0]):
+    for i, q in enumerate(fam.q):
         beta = fam.beta_of_q(q)
         dense = spectrum_oracle(fam.grid, beta, 2)
         assert abs(res.lambda0[i] - dense[0]) < 1e-10
@@ -93,57 +85,38 @@ def test_cosine_family_matches_dense_oracle_per_q():
     assert np.all(res.lambda0 <= 1e-12)
     assert res.gap.min() > 0.5
     # enclosure band holds uniformly in q: beta ranges over [-q, q]
-    qs = res.q_points[:, 0]
+    qs = fam.q
     assert np.all(res.lambda0 >= -qs - 1e-9)
     assert np.all(res.lambda0 <= qs + 1e-9)
 
 
 def test_cosine_family_smoothness():
     res = sweep_ground_state(cosine_family(n=64, count=41))
-    rep2 = smoothness_diagnostic(res, order=2)
-    assert rep2.passed
-    assert 3.2 <= rep2.axes[0].ratio <= 4.8
-    rep1 = smoothness_diagnostic(res, order=1)
-    assert rep1.passed
-    assert rep1.e0_lipschitz[0] < 1.0
+    rep = smoothness_diagnostic(res)
+    assert rep.passed
+    assert 3.2 <= rep.ratio <= 4.8
+    assert rep.e0_lipschitz < 1.0
 
 
 def test_e0_lipschitz_stable_under_refinement():
     coarse = sweep_ground_state(cosine_family(n=64, count=21))
     fine = sweep_ground_state(cosine_family(n=64, count=41))
-    lip_c = smoothness_diagnostic(coarse, order=1).e0_lipschitz[0]
-    lip_f = smoothness_diagnostic(fine, order=1).e0_lipschitz[0]
+    lip_c = smoothness_diagnostic(coarse).e0_lipschitz
+    lip_f = smoothness_diagnostic(fine).e0_lipschitz
     assert lip_f < 2.0 * lip_c + 1e-9
 
 
 def test_smoothness_needs_enough_points():
     res = sweep_ground_state(cosine_family(n=32, count=5))
     with pytest.raises(ValueError):
-        smoothness_diagnostic(res, order=2)
-
-
-def test_two_axis_family():
-    g = make_circle_grid(2 * np.pi, 32)
-    fam = ParamFamily(
-        grid=g,
-        q_axes=(np.linspace(0.0, 1.0, 17), np.linspace(0.0, 0.5, 17)),
-        beta_of_q=lambda q: ScalarField.from_function(
-            g, lambda x: q[0] * np.cos(x) + q[1] * np.sin(x)
-        ),
-        psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
-        psi2_of_q=lambda q: ScalarField.constant(g, 0.0),
-    )
-    res = sweep_ground_state(fam)
-    assert res.q_points.shape == (289, 2)
-    rep = smoothness_diagnostic(res, order=2)
-    assert rep.passed and len(rep.axes) == 2
+        smoothness_diagnostic(res)
 
 
 def test_attractor_sweep_constant_family_q_independent():
     g = make_circle_grid(2 * np.pi, 48)
     fam = ParamFamily(
         grid=g,
-        q_axes=(np.linspace(0.0, 1.0, 5),),
+        q=np.linspace(0.0, 1.0, 5),
         beta_of_q=lambda q: ScalarField.constant(g, -0.1),
         psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
         psi2_of_q=lambda q: ScalarField.constant(g, 1.0),
@@ -151,23 +124,23 @@ def test_attractor_sweep_constant_family_q_independent():
     res = sweep_attractor(fam, tol=1e-9)
     stack = np.stack([f.values for f in res.u_star])
     assert np.max(np.abs(stack - stack[0])) < 1e-8
-    assert res.lipschitz[0] < 1e-7
+    assert res.lipschitz < 1e-7
 
 
 def test_attractor_sweep_corollary_family_sandwich_per_q():
     fam = corollary_family(n=64, count=11)
     res = sweep_attractor(fam, tol=1e-9)
-    for i, q in enumerate(res.q_points[:, 0]):
+    for i, q in enumerate(fam.q):
         vals = res.u_star[i].values
         assert vals.min() >= np.sqrt(2.0 - q) - 1e-6
         assert vals.max() <= np.sqrt(2.0 + q) + 1e-6
-    assert res.lipschitz[0] < 1.0
+    assert res.lipschitz < 1.0
 
 
 def test_attractor_sweep_lipschitz_converges():
     coarse = sweep_attractor(corollary_family(n=48, count=6), tol=1e-9)
     fine = sweep_attractor(corollary_family(n=48, count=11), tol=1e-9)
-    assert fine.lipschitz[0] < 1.5 * coarse.lipschitz[0] + 1e-9
+    assert fine.lipschitz < 1.5 * coarse.lipschitz + 1e-9
 
 
 def test_warm_start_equals_cold_start():
@@ -175,7 +148,7 @@ def test_warm_start_equals_cold_start():
     tol = 1e-9
     res = sweep_attractor(fam, tol=tol)
     # cold-start the final parameter point independently
-    q_last = res.q_points[-1][0]
+    q_last = fam.q[-1]
     p = build_problem(
         fam.grid,
         fam.beta_of_q(q_last),
@@ -192,7 +165,7 @@ def test_admissibility_failure_reports_first_q():
     g = make_circle_grid(1.0, 16)
     fam = ParamFamily(
         grid=g,
-        q_axes=(np.linspace(0.1, 0.5, 5),),
+        q=np.linspace(0.1, 0.5, 5),
         beta_of_q=lambda q: ScalarField.constant(g, -q),
         psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
         psi2_of_q=lambda q: ScalarField.constant(g, 1.0),
@@ -216,7 +189,7 @@ def test_sweep_failures_keep_their_cause(monkeypatch):
     monkeypatch.setattr(param_sweep, "ground_state", _raise(cause))
     with pytest.raises(ConvergenceError) as err:
         sweep_ground_state(fam)
-    assert str(err.value) == "ground state failed at q=[0.]: inner failure"
+    assert str(err.value) == "ground state failed at q=0.0: inner failure"
     assert err.value.__cause__ is cause
     assert err.value.residual == 1.0
 
@@ -224,7 +197,7 @@ def test_sweep_failures_keep_their_cause(monkeypatch):
     monkeypatch.setattr(param_sweep, "_newton_stationary", _raise(cause))
     with pytest.raises(ConvergenceError) as err:
         sweep_attractor(fam)
-    assert str(err.value) == "attractor failed at q=[0.]: inner failure"
+    assert str(err.value) == "attractor failed at q=0.0: inner failure"
     assert err.value.__cause__ is cause
     assert err.value.residual == 1.0
 
@@ -235,7 +208,7 @@ def test_sweep_attractor_names_the_q_of_a_failed_ground_state(monkeypatch):
     monkeypatch.setattr(heatflow, "ground_state", _raise(cause))
     with pytest.raises(ConvergenceError) as err:
         sweep_attractor(fam)
-    assert str(err.value) == "ground state failed at q=[0.]: inner failure"
+    assert str(err.value) == "ground state failed at q=0.0: inner failure"
     assert err.value.__cause__ is cause
     assert err.value.residual == 1.0
 
@@ -261,7 +234,7 @@ def test_sweep_programming_errors_are_not_wrapped(monkeypatch):
 def test_sweep_attractor_rejects_bad_tol_before_any_work(tol):
     g = make_circle_grid(2 * np.pi, 16)
     never = _raise(AssertionError("evaluated a field before checking tol"))
-    fam = ParamFamily(g, (np.linspace(0.0, 1.0, 3),), never, never, never)
+    fam = ParamFamily(g, np.linspace(0.0, 1.0, 3), never, never, never)
     with pytest.raises(ValueError, match="tol"):
         sweep_attractor(fam, tol=tol)
 
@@ -270,7 +243,7 @@ def test_gap_floor_aborts_sweep():
     g = make_circle_grid(10_000.0, 8)
     fam = ParamFamily(
         grid=g,
-        q_axes=(np.linspace(0.0, 1.0, 3),),
+        q=np.linspace(0.0, 1.0, 3),
         beta_of_q=lambda q: ScalarField.constant(g, q),
         psi1_of_q=lambda q: ScalarField.constant(g, 1.0),
         psi2_of_q=lambda q: ScalarField.constant(g, 0.0),
@@ -317,7 +290,7 @@ def _assert_newton_matches_flow(p, tol):
 def test_newton_cold_starts_match_flow_on_corollary_family(q):
     fam = corollary_family(n=64)
     tol = 1e-9
-    p = build_problem(fam.grid, *fam.at((q,)))
+    p = build_problem(fam.grid, *fam.at(q))
     _assert_newton_matches_flow(p, tol)
 
 
@@ -416,7 +389,7 @@ def torus_sweep_family():
     g = make_torus_grid([(2 * np.pi, 32), (2 * np.pi, 32)])
     return ParamFamily(
         grid=g,
-        q_axes=(np.linspace(0.0, 0.2, 9),),
+        q=np.linspace(0.0, 0.2, 9),
         beta_of_q=lambda q: ScalarField.from_function(
             g, lambda x, y: -0.1 + (0.02 + 0.1 * q) * np.cos(x)
         ),
@@ -487,7 +460,7 @@ def test_newton_carried_factor_matches_fresh_factor(family):
     tol = 1e-9
     if family == "corollary":
         fam = corollary_family(n=64)
-        problems = [build_problem(fam.grid, *fam.at((q,))) for q in (0.1, 0.3, 0.5)]
+        problems = [build_problem(fam.grid, *fam.at(q)) for q in (0.1, 0.3, 0.5)]
     else:
         problems = [_torus_problem(b) for b in (0.02, 0.04)]
     held = {}
@@ -500,7 +473,7 @@ def test_newton_carried_factor_matches_fresh_factor(family):
 def test_newton_far_factor_still_certifies(factor_count):
     tol = 1e-9
     fam = corollary_family(n=64)
-    first, last = (build_problem(fam.grid, *fam.at((q,))) for q in (0.0, 0.5))
+    first, last = (build_problem(fam.grid, *fam.at(q)) for q in (0.0, 0.5))
     held = {}
     _newton_stationary(_mid_start(first), first, tol, held)
     (solve,) = held.values()
@@ -524,9 +497,8 @@ def test_newton_far_factor_still_certifies(factor_count):
 
 
 def test_sweep_never_holds_two_newton_factors(monkeypatch):
-    # the two problems above, and the first again (a sweep's difference
-    # tables need three q): the Jacobian factor of either does not contract
-    # on the other, so Newton refactors at every q
+    # the two problems above, and the first again: the Jacobian factor of
+    # either does not contract on the other, so Newton refactors at every q
     g = make_circle_grid(2 * np.pi, 64)
     corollary = (-1.0, 2.0, 0.0)
     fields = {
@@ -543,7 +515,7 @@ def test_sweep_never_holds_two_newton_factors(monkeypatch):
             return ScalarField.constant(g, value)
         return of_q
 
-    fam = ParamFamily(g, (np.array([0.0, 1.0, 2.0]),), field(0), field(1), field(2))
+    fam = ParamFamily(g, np.array([0.0, 1.0, 2.0]), field(0), field(1), field(2))
     solvers = []  # weak references to every solver Newton asked for
     alive_at_build = []
     get_solver, factor = heatflow.spd_solver, _solve.splu

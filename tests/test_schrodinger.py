@@ -39,12 +39,24 @@ def test_shift_examples():
     assert shift_for_positivity(ScalarField.from_function(g, np.cos)) == -2.0
 
 
-def test_shift_is_the_one_inverse_iteration_applies():
+def test_shift_is_the_one_the_lanczos_run_applies():
     # the eigen-solver returns the shift of the factor its Lanczos run inverts
     g = make_torus_grid([(TWO_PI, 16), (TWO_PI, 16)])
     beta = ScalarField.from_function(g, lambda x, y: -0.1 + 0.03 * np.cos(x))
     *_, mu = schrodinger._least_eigenpair(g, beta)
     assert mu == shift_for_positivity(beta)
+
+
+def test_huge_constant_potential_runs_as_the_zero_potential():
+    # the eigen-solver works on beta - max(beta), which is exactly 0 for a
+    # constant beta, so the run is the one of beta = 0; the least nonzero
+    # level of -L is 1e-4 on this axis, far below the shift floor 0.01
+    g = make_circle_grid(628.0, 1000)
+    zero = ground_state(g, ScalarField.constant(g, 0.0))
+    r = ground_state(g, ScalarField.constant(g, 1e16))
+    assert r.lambda0 == -1e16
+    assert r.gap == zero.gap
+    assert r.iterations == zero.iterations
 
 
 def test_constant_potential_is_exact():

@@ -82,22 +82,21 @@ def _trace(path):
 def _sweep(path):
     g = make_circle_grid(1.0, 8)
     rng = np.random.RandomState(4)
-    q_points = np.array([(q1, q2) for q1 in (-1e-5, 0.0, 1e-5) for q2 in (0.0, 1e16)])
-    n = len(q_points)
+    q = np.array([-1e-5, 0.0, 1e-5, 1e16, -0.0, 5e-324])
+    n = len(q)
     e0 = [ScalarField(g, rng.uniform(0.5, 2.0, 8)) for _ in range(n)]
     u_star = [ScalarField(g, np.full(8, 2.5) * e.values) for e in e0[:3]]
     u_star += [ScalarField(g, rng.uniform(1.0, 3.0, 8)) for _ in range(n - 3)]
     lambda0 = np.array([-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-5])
     gap = np.array([2.5, 2.5, 0.0, -0.0, 1e16, 5e-324])
     result = SweepResult(
-        family=SimpleNamespace(m=2), q_points=q_points, lambda0=lambda0, gap=gap,
-        e0=e0, first_differences={}, second_differences={}, u_star=u_star,
+        family=SimpleNamespace(q=q), lambda0=lambda0, gap=gap, e0=e0, u_star=u_star,
     )
     sweep_to_csv(result, path)
     ratios = [u.values / e.values for u, e in zip(u_star, e0)]
-    return _naive("q1,q2,lambda0,gap,min_ratio,max_ratio", [
-        (*q, lam, gp, r.min(), r.max())
-        for q, lam, gp, r in zip(q_points, lambda0, gap, ratios)
+    return _naive("q1,lambda0,gap,min_ratio,max_ratio", [
+        (qv, lam, gp, r.min(), r.max())
+        for qv, lam, gp, r in zip(q, lambda0, gap, ratios)
     ])
 
 
