@@ -12,6 +12,7 @@ solution family available when psi1 = 0.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,6 @@ class OrbitResult:
     period: float | None
 
 
-def _force(u: float, beta: float, psi1: float, psi2: float) -> float:
-    return beta * u + psi1 / u - psi2 / u**3
-
-
 def hamiltonian_uv(u, v, beta: float, psi1: float, psi2: float):
     """H on raw coordinates; vectorized over numpy inputs."""
     u = np.asarray(u, dtype=float)
@@ -96,39 +93,43 @@ def integrate_orbit(
     if T <= 0.0 or dt <= 0.0:
         raise ValueError("T and dt must be positive")
     n_steps = int(math.ceil(T / dt - 1e-12))
-    times = np.empty(n_steps + 1)
-    us = np.empty(n_steps + 1)
-    vs = np.empty(n_steps + 1)
+    # allocated first, so that a step count past memory fails before the loop
+    times, us, vs = (np.empty(n_steps + 1) for _ in range(3))
 
     u, v = s0.u, s0.v
-    times[0], us[0], vs[0] = 0.0, u, v
+    t = 0.0
+    # the loop appends raw doubles, copied into the arrays once at the end
+    samples = array("d", [t]), array("d", [u]), array("d", [v])
+    t_samples, u_samples, v_samples = samples
     crossings_t: list[float] = []
     crossings_u: list[float] = []
-    t = 0.0
     try:
-        for k in range(1, n_steps + 1):
+        for _ in range(n_steps):
             h = min(dt, T - t)
+            half = 0.5 * h
+            sixth = h / 6.0
 
+            # four stages of u' = v, v' = -(beta*u + psi1/u - psi2/u**3)
             ku1 = v
-            kv1 = -_force(u, beta, psi1, psi2)
-            u2 = u + 0.5 * h * ku1
+            kv1 = -(beta * u + psi1 / u - psi2 / u**3)
+            u2 = u + half * ku1
             if u2 <= 0.0:
                 raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t)
-            ku2 = v + 0.5 * h * kv1
-            kv2 = -_force(u2, beta, psi1, psi2)
-            u3 = u + 0.5 * h * ku2
+            ku2 = v + half * kv1
+            kv2 = -(beta * u2 + psi1 / u2 - psi2 / u2**3)
+            u3 = u + half * ku2
             if u3 <= 0.0:
                 raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t)
-            ku3 = v + 0.5 * h * kv2
-            kv3 = -_force(u3, beta, psi1, psi2)
+            ku3 = v + half * kv2
+            kv3 = -(beta * u3 + psi1 / u3 - psi2 / u3**3)
             u4 = u + h * ku3
             if u4 <= 0.0:
                 raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t)
             ku4 = v + h * kv3
-            kv4 = -_force(u4, beta, psi1, psi2)
+            kv4 = -(beta * u4 + psi1 / u4 - psi2 / u4**3)
 
-            u_new = u + (h / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
-            v_new = v + (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+            u_new = u + sixth * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
+            v_new = v + sixth * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
             t_new = t + h
             if u_new <= 0.0 or not (math.isfinite(u_new) and math.isfinite(v_new)):
                 raise PhaseSpaceExitError("orbit reached u <= 0", exit_time=t_new)
@@ -138,11 +139,15 @@ def integrate_orbit(
                 crossings_t.append(t + frac * h)
                 crossings_u.append(u + frac * (u_new - u))
             u, v, t = u_new, v_new, t_new
-            times[k], us[k], vs[k] = t, u, v
+            t_samples.append(t)
+            u_samples.append(u)
+            v_samples.append(v)
     except ArithmeticError as exc:
         # float ** and / raise where the force leaves float range
         raise PhaseSpaceExitError("orbit force left float range", exit_time=t) from exc
 
+    for column, column_samples in zip((times, us, vs), samples):
+        column[:] = column_samples
     energies = hamiltonian_uv(us, vs, beta, psi1, psi2)
     drift = float(np.max(np.abs(energies - energies[0])))
     closed = False

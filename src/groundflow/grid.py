@@ -13,6 +13,9 @@ which the SPD solver factors and the dense spectrum oracle densifies.
 Applying the Laplacian stays matrix-free (:func:`laplacian_values`): it
 differences neighbours before it scales by ``1/h**2``, which rounds more
 tightly than a sparse matvec that scales each neighbour first.
+:func:`_restriction` maps a problem whose data are constant along some
+axes to the grid of the others, where the ground state and Newton's
+method solve it.
 """
 
 from __future__ import annotations
@@ -94,6 +97,54 @@ class Grid:
     def meshgrid(self) -> list[np.ndarray]:
         """Full coordinate arrays of shape ``self.shape`` (ij indexing)."""
         return list(np.meshgrid(*self.coords(), indexing="ij"))
+
+
+@dataclass(frozen=True)
+class _Restriction:
+    """The grid ``sub`` of the axes ``kept`` of ``grid``, and the maps
+    between value arrays on the two.
+
+    Built by :func:`_restriction`, which keeps the axes along which some
+    value arrays vary.  An operator such as ``-L - beta`` whose data is
+    constant along the dropped axes is the Kronecker sum of its restriction
+    to ``sub`` and ``-L`` on the dropped axes (Horn & Johnson, Topics in
+    Matrix Analysis, 1991, Thm 4.4.5): the stencil's difference along a
+    dropped axis is exactly 0 on an array constant along it, so a problem
+    on ``sub`` gives the full problem's solutions that are constant along
+    the dropped axes, and its eigenvalues the full ones that are.
+    """
+
+    grid: Grid
+    kept: tuple[int, ...]
+    sub: Grid
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """``values`` sliced at index 0 of the dropped axes, flat."""
+        index = tuple(
+            slice(None) if ax in self.kept else 0 for ax in range(self.grid.ndim)
+        )
+        return values.reshape(self.grid.shape)[index].ravel()
+
+    def lift(self, values: np.ndarray) -> np.ndarray:
+        """``values`` on ``sub`` broadcast along the dropped axes, flat."""
+        shape = [n if ax in self.kept else 1 for ax, n in enumerate(self.grid.points)]
+        return np.broadcast_to(values.reshape(shape), self.grid.shape).flatten()
+
+
+def _restriction(grid: Grid, *arrays: np.ndarray) -> _Restriction:
+    """The restriction to the axes along which any of ``arrays`` varies.
+
+    An axis is dropped when every slice of every array across it equals the
+    first one exactly, with no tolerance; at least one axis is kept (axis 0
+    when the arrays vary along none), so a constant problem still goes
+    through its solver.
+    """
+    shaped = [a.reshape(grid.shape) for a in arrays]
+    kept = tuple(
+        ax for ax in range(grid.ndim)
+        if any(not (a == a.take([0], axis=ax)).all() for a in shaped)
+    ) or (0,)
+    return _Restriction(grid, kept, Grid(tuple(grid.dims[ax] for ax in kept)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,7 @@ from .grid import (
     Grid,
     ScalarField,
     _check_same_grid,
+    _restriction,
     laplacian_round_off,
     laplacian_values,
 )
@@ -500,18 +501,27 @@ def _newton_stationary(
     replaces it after its second step if it is too far off to contract.
     A stale factor is dropped from ``held`` before the next is built.
     Each step is halved until the iterate stays positive, and iteration
-    stops once the step is at most 1e-13 of max|u|.  The result is
-    certified by positivity, a stationary residual within the flow's
-    bound (``10*tol``, or the round-off floor of :func:`_residual_bound`)
-    and the sandwich, widened only by the round-off band
-    ``1e-12*max(1, y1_plus)`` (for constant data the sandwich is a single
-    ratio, which the computed u/e0 meets only to an ulp or so); any
-    failure raises :class:`ConvergenceError` carrying the residual.
+    stops once the step is at most 1e-13 of max|u|.
+
+    Newton runs on the restriction of the problem to the axes along which
+    beta, psi1, psi2, e0 or the start vary (``grid._restriction``): the
+    iterates stay constant along the others, so it factors and solves on
+    that sub-grid, and ``held`` is keyed by it.  The root is lifted by
+    broadcast, and the full grid certifies it: positivity, a stationary
+    residual within the full grid's bound (``10*tol``, or the round-off
+    floor of :func:`_residual_bound`) and the sandwich, widened only by
+    the round-off band ``1e-12*max(1, y1_plus)`` (for constant data the
+    sandwich is a single ratio, which the computed u/e0 meets only to an
+    ulp or so); any failure raises :class:`ConvergenceError` carrying the
+    residual.
     """
     held = {} if held is None else held
-    grid = p.grid
-    beta, psi1, psi2 = p.beta.values, p.psi1.values, p.psi2.values
     u = np.asarray(u0_values, dtype=float)
+    fields = (p.beta.values, p.psi1.values, p.psi2.values)
+    r = _restriction(p.grid, *fields, p.e0.values, u)
+    grid = r.sub
+    beta, psi1, psi2 = map(r.restrict, fields)
+    u = r.restrict(u)
     previous_step = np.inf
     for iteration in range(1, _NEWTON_MAX_ITERATIONS + 1):
         res = _residual_values(grid, u, beta, psi1, psi2)
@@ -521,10 +531,14 @@ def _newton_stationary(
             try:
                 held[grid] = spd_solver(grid, 1.0, diag)
             except ConvergenceError as exc:  # the factor is exactly singular
-                raise _newton_failure("hit a singular factor", u, p, iteration) from exc
+                raise _newton_failure(
+                    "hit a singular factor", r.lift(u), p, iteration
+                ) from exc
         delta = held[grid](res)  # J delta = res, so the Newton step is -delta
         if not np.all(np.isfinite(delta)):
-            raise _newton_failure("produced a non-finite step", u, p, iteration)
+            raise _newton_failure(
+                "produced a non-finite step", r.lift(u), p, iteration
+            )
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             candidate = u - scale * delta
@@ -532,7 +546,7 @@ def _newton_stationary(
                 break
             scale *= 0.5
         else:
-            raise _newton_failure("lost positivity", u, p, iteration)
+            raise _newton_failure("lost positivity", r.lift(u), p, iteration)
         u = candidate
         step = scale * float(np.max(np.abs(delta)))
         if step <= _NEWTON_STEP_RTOL * float(u.max()):
@@ -541,8 +555,9 @@ def _newton_stationary(
             held.clear()  # the kept factor has gone stale: refactor at u
         previous_step = step
     else:
-        raise _newton_failure("did not converge", u, p, iteration)
-    u_star = ScalarField(grid, u)
+        raise _newton_failure("did not converge", r.lift(u), p, iteration)
+    u = r.lift(u)
+    u_star = ScalarField(p.grid, u)
     residual = _sup_residual(u, p)
     slack = _SLACK * max(1.0, p.profile_plus.y1)
     bound = _residual_bound(u, p, tol)

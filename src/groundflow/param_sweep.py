@@ -8,7 +8,9 @@ by bounded Lipschitz quotients of the fields.  The attractor at each
 q is found by Newton's method on the stationary equation, started inside
 the sandwich and certified there, rather than by marching the heat flow.
 Each q costs one factor of the shifted Schrodinger operator (one Lanczos
-run on its inverse gives lambda0, e0 and the gap).  Newton keeps its
+run on its inverse gives lambda0, e0 and the gap).  Both solvers work on
+the axes along which the problem's data vary, and the full grid certifies
+what they return.  Newton keeps its
 Jacobian factor across its iterations and
 from one q to the next (the chord method), refactoring only when its
 steps stop contracting, so a sweep as a rule builds one Jacobian factor

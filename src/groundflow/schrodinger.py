@@ -24,24 +24,25 @@ the others, which is what makes its Ritz value and vector converge in
 few steps.
 
 Where beta is constant along some torus axes, the problem is solved on the
-grid of the other axes.  An axis is dropped when every slice of beta across
-it equals the first one exactly, with no tolerance; at least one axis is
-kept, so a constant beta still goes through the Lanczos run.  The full
-operator is then the Kronecker sum of the reduced one and -L on the
-dropped axes, so lambda0 and e0 (broadcast along the dropped axes) are the
-reduced ones, and lambda1 = min(reduced lambda1, lambda0 + nu) with nu the
-least nonzero level of -L on the dropped axes, min_d (4/h_d^2) sin^2(pi/N_d)
-(Horn & Johnson, Topics in Matrix Analysis, 1991, Thm 4.4.5).  The lifted
-pair's eigen-residual is recomputed on the full grid and held to the
-Lanczos run's own target, which checks the reduction on every call.
+grid of the other axes (``grid._restriction``, which states the exact
+rule).  The full operator is then the Kronecker sum of the reduced one and
+-L on the dropped axes, so lambda0 and e0 (broadcast along the dropped
+axes) are the reduced ones, and lambda1 = min(reduced lambda1,
+lambda0 + nu) with nu the least nonzero level of -L on the dropped axes,
+min_d (4/h_d^2) sin^2(pi/N_d) (Horn & Johnson, Topics in Matrix Analysis,
+1991, Thm 4.4.5).  The lifted pair's eigen-residual is recomputed on the
+full grid and held to the Lanczos run's own target, which checks the
+reduction on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dstebz, dstein
 
 from ._solve import spd_solver
 from .errors import ConvergenceError
@@ -50,6 +51,7 @@ from .grid import (
     Grid,
     ScalarField,
     _check_same_grid,
+    _restriction,
     laplacian_round_off,
     laplacian_sparse,
     laplacian_values,
@@ -114,34 +116,26 @@ def ground_state(grid: Grid, beta: ScalarField) -> SpectralResult:
     which stops on its eigen-residual target alone, so there is no
     tolerance to pass; the gap must be positive.
 
-    The run is on the grid of the axes along which beta varies (axis 0
-    when it varies along none), with beta sliced at index 0 of the others;
-    see the module docstring.  The pair is lifted back as a broadcast along
-    the dropped axes, renormalized, and its eigen-residual recomputed on
-    the full grid, where it must meet the same target.  ``iterations``
-    counts the reduced run's Lanczos steps.
+    The run is on the restriction of the problem to the axes along which
+    beta varies (``grid._restriction``).  The pair is lifted back as a
+    broadcast along the dropped axes, renormalized, and its eigen-residual
+    recomputed on the full grid, where it must meet the same target.
+    ``iterations`` counts the reduced run's Lanczos steps.
     """
     _check_same_grid(grid, beta)
-    values = beta.values.reshape(grid.shape)
-    kept = [
-        ax for ax in range(grid.ndim)
-        if not (values == values.take([0], axis=ax)).all()
-    ] or [0]
-    sub = Grid(tuple(grid.dims[ax] for ax in kept))
-    index = tuple(slice(None) if ax in kept else 0 for ax in range(grid.ndim))
+    r = _restriction(grid, beta.values)
     lam, v, iterations, residual, gap, _ = _least_eigenpair(
-        sub, ScalarField(sub, values[index])
+        r.sub, ScalarField(r.sub, r.restrict(beta.values))
     )
-    if sub.ndim < grid.ndim:
+    if r.sub.ndim < grid.ndim:
         # the least nonzero level of -L along the dropped axes
         nu = min(
             float(4.0 / h**2 * np.sin(np.pi / n) ** 2)
             for ax, (h, n) in enumerate(zip(grid.spacings, grid.points))
-            if ax not in kept
+            if ax not in r.kept
         )
         gap = min(gap, nu)
-        lifted = [n if ax in kept else 1 for ax, n in enumerate(grid.points)]
-        v = np.broadcast_to(v.reshape(lifted), grid.shape).flatten()
+        v = r.lift(v)
         v /= _weighted_norm(v, grid.cell_volume)
         hv = -laplacian_values(grid, v) - beta.values * v
         residual = _weighted_norm(hv - lam * v, grid.cell_volume)
@@ -206,20 +200,17 @@ def _least_eigenpair(grid: Grid, beta: ScalarField):
     solve = spd_solver(grid, 1.0, delta - b)
 
     n = b.size
-    q = 1.0 + 1e-3 * np.random.RandomState(12345).standard_normal(n)
-    q /= np.linalg.norm(q)
+    q = _start_vector(n)
     basis = np.empty((min(n, _LANCZOS_STEPS), n))  # rows touched as written
-    diag, offdiag = [], []
+    diag, offdiag = np.empty(len(basis)), np.empty(len(basis))
     for k in range(len(basis)):
         basis[k] = q
         w = solve(q)
-        diag.append(np.dot(q, w))
+        diag[k] = np.dot(q, w)
         for _ in range(2):
             w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
         norm = np.linalg.norm(w)
-        theta, s = scipy.linalg.eigh_tridiagonal(
-            diag, offdiag, select="i", select_range=(max(k - 1, 0), k)
-        )
+        theta, s = _top_ritz(diag[: k + 1], offdiag[:k])
         # the Krylov space is exhausted, or breaks down, or leaves float range
         exhausted = k + 1 == n or not 0.0 < norm < np.inf
         if exhausted or k and (norm * abs(s[-1]) <= _LANCZOS_TOL * theta).all():
@@ -237,7 +228,7 @@ def _least_eigenpair(grid: Grid, beta: ScalarField):
             if exhausted:
                 message = f"Lanczos exhausted its Krylov space at step {k + 1}"
                 raise ConvergenceError(message, residual=residual)
-        offdiag.append(norm)
+        offdiag[k] = norm
         q = w / norm
     else:
         raise ConvergenceError(f"Lanczos did not converge in {k + 1} steps")
@@ -250,6 +241,42 @@ def _least_eigenpair(grid: Grid, beta: ScalarField):
     # theta ascends; a single Ritz value (breakdown at step 1) gives gap 0
     gap = 1.0 / float(theta[0]) - 1.0 / float(theta[-1])
     return lam, v, k + 1, residual, gap, -b_max - delta
+
+
+@lru_cache(maxsize=8)
+def _start_vector(n: int) -> np.ndarray:
+    """The Lanczos start: the constant plus 1e-3 times fixed-seed normals,
+    of unit Euclidean norm.  Built once per ``n`` and shared, so it is
+    read-only."""
+    q = 1.0 + 1e-3 * np.random.RandomState(12345).standard_normal(n)
+    q /= np.linalg.norm(q)
+    q.flags.writeable = False
+    return q
+
+
+def _top_ritz(diag: np.ndarray, offdiag: np.ndarray):
+    """The top two eigenpairs of the symmetric tridiagonal ``(diag,
+    offdiag)``, ascending (one for a 1x1 matrix).
+
+    The LAPACK calls of ``scipy.linalg.eigh_tridiagonal(diag, offdiag,
+    select="i", select_range=(k - 2, k - 1))``, bisection by ``dstebz``
+    then inverse iteration by ``dstein``, without its per-call argument
+    checks; the results are the same bit for bit.  A nonzero LAPACK
+    ``info``, as for non-finite entries, raises :class:`ConvergenceError`.
+    """
+    k = diag.size
+    if k == 1:
+        return diag.copy(), np.ones((1, 1))
+    m, w, iblock, isplit, info = dstebz(
+        diag, offdiag, 2, 0.0, 0.0, k - 1, k, 0.0, "B"
+    )
+    if info == 0:
+        w = w[:m]
+        vectors, info = dstein(diag, offdiag, w, iblock, isplit)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal Ritz problem failed (LAPACK info={info})")
+    order = np.argsort(w)
+    return w[order], vectors[:, order]
 
 
 def spectrum_oracle(grid: Grid, beta: ScalarField, k: int) -> np.ndarray:

@@ -137,3 +137,46 @@ def rayleigh_quotient_longdouble(grid, beta_values, vector):
         second_difference = np.roll(v, -1, axis=ax) - 2 * v + np.roll(v, 1, axis=ax)
         hv -= second_difference / np.longdouble(h * h)
     return np.sum(v * hv) / np.sum(v * v)
+
+
+def _orbit_force(u, beta, psi1, psi2):
+    return beta * u + psi1 / u - psi2 / u**3
+
+
+def reference_orbit(u0, v0, beta, psi1, psi2, T, dt):
+    """Classical RK4 on u' = v, v' = -f(u), written as plainly as possible.
+
+    One force call per stage, every product written out in full and the
+    samples stored into preallocated arrays; the last step is shortened to
+    end at T.  The period is the time between the first two upward
+    crossings of v = 0, kept only when u returns there within 1e-6, as
+    ``integrate_orbit`` defines it.  Returns ``(times, us, vs, period)``.
+    """
+    n_steps = int(np.ceil(T / dt - 1e-12))
+    times, us, vs = (np.empty(n_steps + 1) for _ in range(3))
+    t, u, v = 0.0, u0, v0
+    times[0], us[0], vs[0] = t, u, v
+    crossings = []
+    for k in range(1, n_steps + 1):
+        h = min(dt, T - t)
+        ku1 = v
+        kv1 = -_orbit_force(u, beta, psi1, psi2)
+        ku2 = v + 0.5 * h * kv1
+        kv2 = -_orbit_force(u + 0.5 * h * ku1, beta, psi1, psi2)
+        ku3 = v + 0.5 * h * kv2
+        kv3 = -_orbit_force(u + 0.5 * h * ku2, beta, psi1, psi2)
+        ku4 = v + h * kv3
+        kv4 = -_orbit_force(u + h * ku3, beta, psi1, psi2)
+        u_new = u + (h / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
+        v_new = v + (h / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+        if v < 0.0 <= v_new:
+            frac = -v / (v_new - v)
+            crossings.append((t + frac * h, u + frac * (u_new - u)))
+        u, v, t = u_new, v_new, t + h
+        times[k], us[k], vs[k] = t, u, v
+    period = None
+    if len(crossings) >= 2:
+        (t0, c0), (t1, c1) = crossings[:2]
+        if t1 - t0 > 0.0 and abs(c1 - c0) <= 1e-6:
+            period = t1 - t0
+    return times, us, vs, period

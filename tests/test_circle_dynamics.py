@@ -21,6 +21,7 @@ from groundflow.circle_dynamics import (
     orbit_to_csv,
 )
 from groundflow.errors import PhaseSpaceExitError
+from oracles import reference_orbit
 
 SEP_LEVEL_REF = 0.7725887222397811  # H(2, 0) for beta=-1, psi1=4, psi2=0
 
@@ -194,6 +195,23 @@ def test_orbit_force_out_of_float_range_exits_phase_space(u0, beta, psi1, psi2, 
     with pytest.raises(PhaseSpaceExitError) as err:
         integrate_orbit(PlanarState(u0, 0.0), beta, psi1, psi2, 1.0, dt)
     assert err.value.exit_time == 0.0
+
+
+@pytest.mark.parametrize("s0, beta, psi1, psi2, T, dt", [
+    # a closed orbit around the center, several periods
+    ((0.6, 0.0), -1.0, 1.0, 0.1, 10.0, 1e-3),
+    # psi1 = 0 and beta > 0: the quartic center, started off the section
+    ((1.05, 0.3), 1.0, 0.0, 1.0, 20.0, 2e-3),
+    # T is not a multiple of dt: the last step is a third of dt
+    ((0.75, 0.1), -1.0, 2.0, 0.75, 7.3, 3e-3),
+], ids=["center", "quartic", "short-last-step"])
+def test_orbit_matches_reference_rk4_bitwise(s0, beta, psi1, psi2, T, dt):
+    orbit = integrate_orbit(PlanarState(*s0), beta, psi1, psi2, T, dt)
+    times, us, vs, period = reference_orbit(*s0, beta, psi1, psi2, T, dt)
+    assert np.array_equal(orbit.times, times)
+    assert np.array_equal(orbit.us, us)
+    assert np.array_equal(orbit.vs, vs)
+    assert orbit.period == period
 
 
 def test_time_reversal():

@@ -29,3 +29,17 @@ def test_third_party_imports_are_declared():
                 for d in project["dependencies"]}
     third_party = _imported_top_levels() - set(sys.stdlib_module_names)
     assert third_party <= declared, third_party - declared
+
+
+def test_lapack_exports_the_tridiagonal_ritz_calls():
+    # schrodinger._top_ritz calls these two wrappers directly, positionally,
+    # with the signatures scipy>=1.10 (the declared floor) generates
+    from scipy.linalg import lapack
+
+    signatures = {
+        "dstebz": "m,w,iblock,isplit,info = dstebz(d,e,range,vl,vu,il,iu,tol,order)",
+        "dstein": "z,info = dstein(d,e,w,iblock,isplit)",
+    }
+    for name, signature in signatures.items():
+        assert hasattr(lapack, name), name
+        assert getattr(lapack, name).__doc__.splitlines()[0] == signature

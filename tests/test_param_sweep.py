@@ -429,12 +429,12 @@ def test_sweep_attractor_uses_newton_not_the_flow(monkeypatch):
 
 def test_sweep_attractor_keeps_one_newton_factor_across_q(factor_count):
     # one ground-state factor per q, on the 32 points of the axis beta
-    # varies along; Newton carries its 32x32-torus Jacobian factor from q to
-    # q and refactors only when its steps stop contracting
+    # varies along; Newton solves on the same 32 points, carries its
+    # Jacobian factor from q to q and refactors only when its steps stop
+    # contracting; nothing is factored on the 32x32 torus
     sweep_attractor(torus_sweep_family(), tol=1e-9)
-    assert factor_count.count((32, 32)) == 9
-    assert 1 <= factor_count.count((1024, 1024)) <= 2
-    assert len(factor_count) <= 9 + 2
+    assert 9 + 1 <= factor_count.count((32, 32)) <= 9 + 2
+    assert len(factor_count) == factor_count.count((32, 32))
 
 
 def _mid_start(p):

@@ -2,20 +2,25 @@
 
 Ground states on small circles and tori, among them tori whose potential
 is constant along some axes, are checked against the dense
-``spectrum_oracle``, Newton's stationary solution against the heat flow's
-attractor, the flow's ordering, order cap and certificates on random
-ordered pairs, the decay rate's closed form against its sampled
-oracle, the profile's landmark order at marginal discriminants, and the
-CSV block formatter against ``repr`` on drawn float64 bit patterns.
+``spectrum_oracle``, the Lanczos run's top Ritz pairs against
+``scipy.linalg.eigh_tridiagonal`` bit for bit, Newton's stationary solution
+against the heat flow's attractor and, on tori with one-axis data, its
+reduced root against a root found on the full grid, the flow's
+ordering, order cap and certificates on random ordered pairs, the decay
+rate's closed form against its sampled oracle, the profile's landmark
+order at marginal discriminants, and the CSV block formatter against
+``repr`` on drawn float64 bit patterns.
 Examples come from the derandomized profile loaded in ``conftest.py``.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from groundflow import (
     AdmissibilityError,
@@ -34,6 +39,7 @@ from groundflow import (
     spectrum_oracle,
 )
 from groundflow._table import _format
+from groundflow.grid import _restriction
 from groundflow.heatflow import _march, _newton_stationary
 
 from oracles import sampled_decay_rate
@@ -189,6 +195,79 @@ def test_newton_matches_flow_on_admissible_circles(
     flow, _ = evolve_to_attractor(ScalarField(g, mid), p, tol=tol)
     u = _newton_stationary(mid, p, tol)
     assert np.max(np.abs(u.values - flow.values)) <= 10.0 * tol
+
+
+@given(
+    st.integers(2, 300).flatmap(lambda k: st.tuples(
+        hnp.arrays(float, k, elements=st.floats(-1e6, 1e6)),
+        hnp.arrays(float, k - 1, elements=st.floats(-1e6, 1e6)),
+    ))
+)
+def test_top_ritz_equals_eigh_tridiagonal_bitwise(tridiagonal):
+    diag, offdiag = tridiagonal
+    k = diag.size
+    theta, vectors = schrodinger._top_ritz(diag, offdiag)
+    expected = scipy.linalg.eigh_tridiagonal(
+        diag, offdiag, select="i", select_range=(k - 2, k - 1)
+    )
+    assert np.array_equal(theta, expected[0])
+    assert np.array_equal(vectors, expected[1])
+
+
+@st.composite
+def _one_axis_torus_problem(draw):
+    """An admissible 2-d or 3-d torus problem whose beta, psi1 and psi2 vary
+    along one axis only."""
+    ndim = draw(st.sampled_from([2, 3]))
+    points = draw(st.lists(
+        st.integers(4, 16 if ndim == 2 else 7), min_size=ndim, max_size=ndim
+    ))
+    lengths = draw(st.lists(st.floats(4.0, 8.0), min_size=ndim, max_size=ndim))
+    g = make_torus_grid(list(zip(lengths, points)))
+    axis = draw(st.integers(0, ndim - 1))
+    wobble = draw(st.floats(0.01, 0.05))
+    psi1_wobble, psi2_wobble = draw(st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)))
+    phase = 2 * np.pi * g.meshgrid()[axis] / lengths[axis]
+    fields = [
+        ScalarField(g, (-0.1 + wobble * np.cos(phase)).ravel()),
+        ScalarField(g, (1.0 + psi1_wobble * np.sin(phase)).ravel()),
+        ScalarField(g, (1.0 + psi2_wobble * np.cos(2 * phase)).ravel()),
+    ]
+    try:
+        p = build_problem(g, *fields)
+    except AdmissibilityError:
+        assume(False)
+    return p, axis
+
+
+@settings(max_examples=10, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_one_axis_torus_problem())
+def test_reduced_newton_root_matches_full_grid_root(factor_count, drawn):
+    p, axis = drawn
+    g, tol = p.grid, 1e-9
+    y1m, y1p = p.profile_minus.y1, p.profile_plus.y1
+    mid = 0.5 * (y1m + y1p)
+    restriction = _restriction(
+        g, p.beta.values, p.psi1.values, p.psi2.values, p.e0.values
+    )
+    assert restriction.kept == (axis,)
+    sub_points = g.points[axis]
+    factor_count.clear()
+    u = _newton_stationary(mid * p.e0.values, p, tol)
+    assert factor_count
+    assert set(factor_count) == {(sub_points, sub_points)}
+    # a start inside the sandwich that varies along every other axis keeps
+    # them all: this Newton runs on the full grid
+    wiggle = sum(np.cos(x) for ax, x in enumerate(g.meshgrid()) if ax != axis)
+    ratio = mid + 0.25 * (y1p - y1m) * wiggle.ravel() / (g.ndim - 1)
+    factor_count.clear()
+    full = _newton_stationary(ratio * p.e0.values, p, tol)
+    n = g.total_points
+    assert factor_count
+    assert set(factor_count) == {(n, n)}
+    assert np.max(np.abs(u.values - full.values)) <= 1e-12 * np.max(full.values)
+    # the reduced root is constant along the dropped axes
+    assert np.array_equal(u.values, restriction.lift(restriction.restrict(u.values)))
 
 
 @st.composite

@@ -384,3 +384,44 @@ def test_inverse_iteration_fails_at_its_first_non_finite_step(grid, beta):
     with pytest.raises(ConvergenceError, match=r"at step 1$") as err:
         ground_state(grid, ScalarField.from_function(grid, beta))
     assert not np.isfinite(err.value.residual)
+
+
+def test_top_ritz_fails_typed_on_non_finite_entries():
+    diag = np.array([1.0, np.nan, 2.0])
+    with pytest.raises(ConvergenceError, match="LAPACK info="):
+        schrodinger._top_ritz(diag, np.array([0.5, 0.5]))
+
+
+def test_start_vector_is_shared_and_read_only():
+    q = schrodinger._start_vector(32)
+    assert schrodinger._start_vector(32) is q
+    assert not q.flags.writeable
+    with pytest.raises(ValueError):
+        q[0] = 0.0
+    assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_alternating_grid_sizes_repeat_their_bytes(monkeypatch):
+    # the start vector of each size is drawn once and reused unchanged
+    seeded = []
+    random_state = np.random.RandomState
+
+    def counting(seed):
+        seeded.append(seed)
+        return random_state(seed)
+
+    schrodinger._start_vector.cache_clear()
+    monkeypatch.setattr(np.random, "RandomState", counting)
+    problems = []
+    for n in (48, 40):
+        g = make_circle_grid(TWO_PI, n)
+        beta = ScalarField.from_function(g, lambda x: np.cos(x) + 0.3 * np.sin(2 * x))
+        problems.append((g, beta))
+    first = [ground_state(*problem) for problem in problems]
+    for _ in range(2):
+        for problem, expected in zip(problems, first):
+            result = ground_state(*problem)
+            assert result.lambda0 == expected.lambda0
+            assert result.gap == expected.gap
+            assert result.e0.values.tobytes() == expected.e0.values.tobytes()
+    assert seeded == [12345, 12345]
