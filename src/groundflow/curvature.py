@@ -92,9 +92,10 @@ def ground_state_warp(tp: TwistedProduct):
     leaf when v varies along the fiber only, has the exact ground state
     lambda0 = -c with a constant eigenvector, since the stencil Laplacian
     maps a constant to exactly 0; it gets that pair with no factor and no
-    iteration.  Every other leaf goes through the Lanczos run on its own
-    shifted factor that ``ground_state`` makes, which stops on its
-    eigen-residual target alone.
+    iteration.  One min/max reduction finds every such leaf and one masked
+    store assigns them all.  Every other leaf goes through the Lanczos run
+    on its own shifted factor that ``ground_state`` makes, which stops on
+    its eigen-residual target alone.
     """
     grid = tp.product_grid
     base_n = tp.base_grid.total_points
@@ -107,16 +108,14 @@ def ground_state_warp(tp: TwistedProduct):
     beta_slices = beta_vals.reshape(base_n, fiber_n)
     u_slices = np.empty((base_n, fiber_n))
     leaf_smix = np.empty(fiber_n)
-    constant = _unit_constant(tp.base_grid)
-    for j in range(fiber_n):
-        beta_leaf = beta_slices[:, j]
-        if beta_leaf.min() == beta_leaf.max():
-            lam, e0 = -float(beta_leaf[0]), constant
-        else:
-            # the eigen-solver of ground_state; the leaf's gap is not used
-            lam, e0, *_ = _least_eigenpair(
-                tp.base_grid, ScalarField(tp.base_grid, beta_leaf)
-            )
+    constant = beta_slices.min(axis=0) == beta_slices.max(axis=0)
+    u_slices[:, constant] = _unit_constant(tp.base_grid)[:, None]
+    leaf_smix[constant] = tp.n * -beta_slices[0, constant]
+    for j in np.flatnonzero(~constant).tolist():
+        # the eigen-solver of ground_state; the leaf's gap is not used
+        lam, e0, *_ = _least_eigenpair(
+            tp.base_grid, ScalarField(tp.base_grid, beta_slices[:, j])
+        )
         u_slices[:, j] = e0
         leaf_smix[j] = tp.n * lam
     return ScalarField(grid, u_slices.ravel()), leaf_smix

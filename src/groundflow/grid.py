@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,23 +68,23 @@ class Grid:
     def ndim(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def points(self) -> tuple[int, ...]:
         return tuple(points for _, points in self.dims)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return self.points
 
-    @property
+    @cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(length / points for length, points in self.dims)
 
-    @property
+    @cached_property
     def total_points(self) -> int:
         return math.prod(self.points)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return math.prod(self.spacings)
 
@@ -198,6 +198,16 @@ def _check_same_grid(grid: Grid, f: ScalarField):
         raise ValueError("field does not live on the given grid")
 
 
+@lru_cache(maxsize=16)
+def _neighbours(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of each point's next and previous neighbour on a cycle of
+    ``points``, read-only: shared by every stencil apply."""
+    index = np.arange(points)
+    ahead, behind = np.roll(index, -1), np.roll(index, 1)
+    ahead.flags.writeable = behind.flags.writeable = False
+    return ahead, behind
+
+
 def laplacian_values(grid: Grid, values: np.ndarray, axes=None) -> np.ndarray:
     """Stencil Laplacian on a flat value array; ``axes`` restricts the sum
     to a subset of dimensions (used for leafwise / fiberwise operators)."""
@@ -206,7 +216,8 @@ def laplacian_values(grid: Grid, values: np.ndarray, axes=None) -> np.ndarray:
     use = range(grid.ndim) if axes is None else axes
     for ax in use:
         h = grid.spacings[ax]
-        out += (np.roll(arr, -1, axis=ax) - 2.0 * arr + np.roll(arr, 1, axis=ax)) / (
+        ahead, behind = _neighbours(grid.points[ax])
+        out += (arr.take(ahead, axis=ax) - 2.0 * arr + arr.take(behind, axis=ax)) / (
             h * h
         )
     return out.ravel()

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: roots come
 from scipy's brentq on sign-change brackets or from 60-digit decimal
-arithmetic, ODE references from high-order adaptive integration, and
-dense operators from index loops.
+arithmetic, ODE references from high-order adaptive integration, dense
+operators from index loops, and the stencil's neighbours from ``np.roll``.
 """
 
 from decimal import Decimal, localcontext
@@ -120,6 +120,23 @@ def looped_laplacian_matrix(grid, axes=None):
                 neighbour[ax] = (index[ax] + step) % shape[ax]
                 mat[row, flat(neighbour)] += 1.0 / h**2
     return mat
+
+
+def rolled_laplacian_values(grid, values, axes=None):
+    """The stencil Laplacian with ``np.roll`` for the neighbours.
+
+    The arithmetic ``laplacian_values`` keeps, in the same order: per axis,
+    the rolled ahead minus twice the value plus the rolled behind, divided
+    by h^2 and added to a zero start, so the two agree bit for bit.
+    """
+    arr = values.reshape(grid.shape)
+    out = np.zeros_like(arr)
+    for ax in range(grid.ndim) if axes is None else axes:
+        h = grid.spacings[ax]
+        out += (np.roll(arr, -1, axis=ax) - 2.0 * arr + np.roll(arr, 1, axis=ax)) / (
+            h * h
+        )
+    return out.ravel()
 
 
 def rayleigh_quotient_longdouble(grid, beta_values, vector):

@@ -172,6 +172,43 @@ def test_warp_constant_leaves_get_the_exact_ground_state():
         assert np.max(np.abs(u.values.reshape(32, 16)[:, j] - spectral.e0.values)) <= 1e-14
 
 
+def test_warp_mixed_constant_and_varying_leaves(factor_count):
+    # v = a(y) + b(y) sin(x) with b zero on fiber points 0-5 and 11-15: the
+    # fiber stencil reaches one point either side, so leaves 0-4 and 12-15
+    # freeze exactly constant potentials and leaves 5-11 varying ones; only
+    # the varying leaves are factored, each once, and each gets the pair
+    # ground_state gives bit for bit
+    base, fiber = make_circle_grid(2 * np.pi, 16), make_circle_grid(2 * np.pi, 16)
+    y = fiber.coords()[0]
+    a = 2.0 + np.cos(y)
+    b = np.where((y > y[5]) & (y < y[11]), 0.5, 0.0)
+    v = a + b * np.sin(base.coords()[0])[:, None]
+    product = make_torus_grid(base.dims + fiber.dims)
+    tp = TwistedProduct(base, fiber, ScalarField(product, v.ravel()))
+    u, leaf_smix = ground_state_warp(tp)
+    beta = (tp.p / tp.n) * laplacian_values(product, tp.v.values, axes=tp.fiber_axes)
+    beta = (beta / tp.v.values).reshape(16, 16)
+    constant = beta.min(axis=0) == beta.max(axis=0)
+    assert np.array_equal(np.flatnonzero(~constant), np.arange(5, 12))
+    assert factor_count == [(16, 16)] * 7
+    u_leaves = u.values.reshape(16, 16)
+    for j in np.flatnonzero(~constant):
+        spectral = ground_state(base, ScalarField(base, beta[:, j]))
+        assert np.array_equal(u_leaves[:, j], spectral.e0.values)
+        assert leaf_smix[j] == tp.n * spectral.lambda0
+    # the constant leaves hold the exact pair, which ground_state's Lanczos
+    # run meets to round-off
+    unit = np.full(16, 1.0 / np.sqrt(2 * np.pi))
+    for j in np.flatnonzero(constant):
+        assert leaf_smix[j] == -tp.n * beta[0, j]
+        assert np.max(np.abs(u_leaves[:, j] - unit)) <= 1e-15
+        spectral = ground_state(base, ScalarField(base, beta[:, j]))
+        assert abs(leaf_smix[j] / tp.n - spectral.lambda0) <= 1e-15 * max(
+            1.0, abs(spectral.lambda0)
+        )
+        assert np.max(np.abs(u_leaves[:, j] - spectral.e0.values)) <= 1e-14
+
+
 def test_warp_two_dimensional_base():
     base = make_torus_grid([(2 * np.pi, 8), (2 * np.pi, 8)])
     fiber = make_circle_grid(2 * np.pi, 4)

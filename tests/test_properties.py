@@ -8,8 +8,9 @@ against the heat flow's attractor and, on tori with one-axis data, its
 reduced root against a root found on the full grid, the flow's
 ordering, order cap and certificates on random ordered pairs, the decay
 rate's closed form against its sampled oracle, the profile's landmark
-order at marginal discriminants, and the CSV block formatter against
-``repr`` on drawn float64 bit patterns.
+order at marginal discriminants, the CSV block formatter against
+``repr`` on drawn float64 bit patterns, and the stencil Laplacian against
+its ``np.roll`` form bit for bit on drawn grids, axis subsets and values.
 Examples come from the derandomized profile loaded in ``conftest.py``.
 """
 
@@ -39,10 +40,10 @@ from groundflow import (
     spectrum_oracle,
 )
 from groundflow._table import _format
-from groundflow.grid import _restriction
+from groundflow.grid import _restriction, laplacian_values
 from groundflow.heatflow import _march, _newton_stationary
 
-from oracles import sampled_decay_rate
+from oracles import rolled_laplacian_values, sampled_decay_rate
 
 TWO_PI = 2 * np.pi
 _amplitude = st.floats(-1.0, 1.0)
@@ -393,3 +394,30 @@ def test_profile_landmarks_ordered_at_marginal_discriminants(lam, A, log_share):
 def test_csv_format_matches_repr_on_drawn_bits(bits):
     x = np.array(bits, dtype=np.uint64).view(float)
     assert _format(x) == list(map(repr, x.tolist()))
+
+
+# signed zeros and subnormals, whose signs and last bits a reordered
+# stencil would change
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310]
+
+
+@st.composite
+def _stencil_input(draw):
+    ndim = draw(st.integers(1, 3))
+    dims = [(draw(st.floats(0.5, 10.0)), draw(st.integers(4, 40))) for _ in range(ndim)]
+    g = make_torus_grid(dims)
+    axes = draw(st.none() | st.lists(st.integers(0, ndim - 1), unique=True))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    # any scale from the subnormal edge up to where 4/h**2 times it still fits
+    values = rng.standard_normal(g.total_points) * 10.0 ** rng.randint(-300, 290)
+    tiny = rng.random_sample(g.total_points) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    values[tiny] = rng.choice(_TINY, tiny.sum())
+    return g, values, axes
+
+
+@given(_stencil_input())
+@example((make_torus_grid([(1.0, 4)]), np.array([-0.0, 0.0, -0.0, -0.0]), None))
+def test_laplacian_equals_rolled_form_bitwise(drawn):
+    g, values, axes = drawn
+    got = laplacian_values(g, values, axes=axes)
+    assert got.tobytes() == rolled_laplacian_values(g, values, axes).tobytes()

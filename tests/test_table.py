@@ -1,11 +1,13 @@
 """Every CSV writer against a naive writer that formats each value with %r.
 
-The package writes all its tables through one writer, which formats a
-column's block in one ``orjson`` call, patches with ``repr`` the entries
-whose notation differs, and formats each grid coordinate once per axis
-point.  These tests pin its bytes to the per-value format, whole files
-and the block formatter alone, on drawn bit patterns and on the edges of
-the patched ranges.
+The package writes all its tables through one writer, which stacks a
+block of rows, grid coordinates included, into one float array, formats
+it in one ``orjson`` call, places the newlines with numpy and splices
+``repr`` text into the entries whose notation differs.  These tests pin
+its bytes to the per-value format: whole files, block boundaries inside
+an axis run, patched entries at a block's ends, all-patched blocks, one
+column, and the block formatter alone on the edges of the patched
+ranges; and they check that its memory stays one block's.
 """
 
 import tracemalloc
@@ -27,7 +29,7 @@ from groundflow import (
     sweep_to_csv,
     trace_to_csv,
 )
-from groundflow._table import BLOCK_ROWS, _format
+from groundflow._table import BLOCK_ROWS, _format, write_csv
 from groundflow.circle_dynamics import hamiltonian_uv, orbit_to_csv, portrait_to_csv
 
 SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 2.5, -0.0, 2.5, 1e-5, 0.0]
@@ -100,6 +102,46 @@ def _sweep(path):
     ])
 
 
+def _axes_straddle(path):
+    # 97 does not divide BLOCK_ROWS, so each block ends part way along the
+    # last axis, and a block's coordinates restart mid-run
+    a = np.array(SPECIAL[:5] + [0.25, 3.0, 7.5, -1e16, 1e-7] * 9)
+    b = np.linspace(-1.0, 1.0, 97)
+    b[[0, 48, 96]] = [-0.0, 1e-5, 1e16]
+    assert len(a) * len(b) > BLOCK_ROWS and BLOCK_ROWS % len(b)
+    values = _column(np.random.RandomState(6), len(a) * len(b))
+    write_csv(path, "a,b,value", [values], axes=(a, b))
+    rows = [(x, y) for x in a for y in b]
+    return _naive("a,b,value", [(x, y, z) for (x, y), z in zip(rows, values)])
+
+
+def _block_ends(path):
+    rng = np.random.RandomState(7)
+    cols = [rng.standard_normal(2 * BLOCK_ROWS + 1) for _ in range(3)]
+    cols[1][1] = -0.0
+    for start in (0, BLOCK_ROWS, 2 * BLOCK_ROWS):
+        cols[0][start] = 1e-5  # a block's first entry
+    for end in (BLOCK_ROWS - 1, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS):
+        cols[2][end] = [np.nan, -1e16, np.inf][end % 3]  # a block's last entry
+    write_csv(path, "a,b,c", cols)
+    return _naive("a,b,c", zip(*cols))
+
+
+def _all_patched(path):
+    # a full block and a short one in which no orjson text survives
+    patched = np.array([1e-5, -1e-300, 5e-324, 1e16, -1e300, np.inf, -np.inf, np.nan])
+    rng = np.random.RandomState(8)
+    cols = [rng.choice(patched, BLOCK_ROWS + 5) for _ in range(2)]
+    write_csv(path, "a,b", cols)
+    return _naive("a,b", zip(*cols))
+
+
+def _one_column(path):
+    col = _column(np.random.RandomState(9), 2 * BLOCK_ROWS + 1)
+    write_csv(path, "a", [col])
+    return _naive("a", zip(col))
+
+
 CASES = {
     "orbit": _orbit,
     "portrait-specials": lambda path: _portrait(
@@ -115,6 +157,10 @@ CASES = {
     "field-3d": lambda path: _field(path, [(1.0, 17), (2 * np.pi, 16), (0.7, 16)], 5),
     "trace": _trace,
     "sweep": _sweep,
+    "axes-straddle-blocks": _axes_straddle,
+    "patched-at-block-ends": _block_ends,
+    "all-patched": _all_patched,
+    "one-column": _one_column,
 }
 
 
@@ -123,7 +169,7 @@ def test_csv_matches_per_value_repr(tmp_path, case):
     path = tmp_path / "table.csv"
     expected = CASES[case](path)
     assert path.read_bytes() == expected
-    assert b"-0.0" in expected or case == "portrait-grid"
+    assert b"-0.0" in expected or case in ("portrait-grid", "all-patched")
 
 
 def test_orbit_csv_memory_flat_in_rows(tmp_path):
@@ -139,6 +185,27 @@ def test_orbit_csv_memory_flat_in_rows(tmp_path):
         finally:
             tracemalloc.stop()
     assert len(orbit.times) == 100_001
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+
+def test_field_csv_memory_flat_in_rows(tmp_path):
+    # the axes path builds each block's coordinates from its own rows, so
+    # what it holds is one block's, however many rows the grid has
+    peaks = []
+    for rows in (64, 640):
+        # lengths whose coordinates print long at both sizes, so that a row's
+        # text is about as long in both tables
+        g = make_torus_grid([(np.e, rows), (2 * np.pi, 128)])
+        values = np.random.RandomState(10).standard_normal(g.total_points)
+        values[::1000] = 1e-5  # every block takes the patching path
+        field = ScalarField(g, values)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            field_to_csv(field, tmp_path / "field.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
